@@ -1,8 +1,20 @@
 """Volterra kernels of the fractional OU family and their RKHS operators.
 
-Implements pointwise kernel evaluation (with endpoint-singularity-aware
-quadrature), the integral operator f -> int_0^t Phi(t,s) f(s) ds on a
-discrete time grid, Cameron-Martin energies and Gram (covariance) matrices.
+Implements pointwise kernel evaluation, the integral operator
+f -> int_0^t Phi(t,s) f(s) ds on a discrete time grid, Cameron-Martin
+energies and Gram (covariance) matrices.
+
+Closed forms are used wherever they exist:
+  - every kernel at H = 1/2 is xi e^{beta (t-s)};
+  - with zero effective mean reversion (K_fbm, G_zero, G_eps at eps = 0,
+    F_fou at beta = 0) the kernel is xi times the Molchan-Golosov kernel
+    kappa_H (t-s)^{H-1/2} 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s)
+    (Decreusefond & Ustunel 1999), and its Gram matrix is xi^2 times the
+    fBm covariance.
+Tanh-sinh quadrature remains for the kernel with beta != 0 (an integral
+over (s, t) with an endpoint power singularity, removed by substitution)
+and for the panel integrals of operator_matrix and the beta != 0 Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma
+from scipy.special import hyp2f1
 
 
 class DomainError(ValueError):
@@ -172,6 +185,21 @@ class TimeGrid:
         return len(self.nodes)
 
 
+def fbm_covariance(H: float, t: float, s: float):
+    """Covariance (1/2)(t^2H + s^2H - |t-s|^2H) of fBm; vectorises over t, s."""
+    if not 0.0 < H < 1.0:
+        raise DomainError(f"Hurst parameter must lie in (0,1), got {H}")
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    out = 0.5 * (np.abs(t) ** (2 * H) + np.abs(s) ** (2 * H) - np.abs(t - s) ** (2 * H))
+    return float(out) if out.ndim == 0 else out
+
+
+def fbm_covariance_matrix(H: float, grid: TimeGrid) -> np.ndarray:
+    t = grid.t
+    return fbm_covariance(H, t[:, None], t[None, :])
+
+
 # ---------------------------------------------------------------------------
 # tanh-sinh quadrature with combined endpoint power weight
 # ---------------------------------------------------------------------------
@@ -200,22 +228,27 @@ def _singular_integral(s, t, gamma_exp, g, h=0.06, n=64):
     """Vectorised int_s^t (u-s)^gamma_exp * g(u) du, gamma_exp > -1.
 
     s, t broadcastable arrays with 0 < s < t; g is applied elementwise to the
-    quadrature nodes (shape (..., nq)).
+    quadrature nodes (shape (..., nq)). With a = gamma_exp + 1 the
+    substitution u = s + (t-s) v^{1/a} turns the integral into
+    ((t-s)^a / a) int_0^1 g(u(v)) dv, whose integrand is bounded: the
+    tanh-sinh rule cannot resolve q^gamma_exp near q = 0 when gamma_exp is
+    close to -1 (H slightly above 1/2).
     """
-    q, _, jac = _tanh_sinh_rule(h, n)
+    v, _, jac = _tanh_sinh_rule(h, n)
+    a = gamma_exp + 1.0
     s = np.asarray(s, dtype=float)[..., None]
     t = np.asarray(t, dtype=float)[..., None]
     span = t - s
-    u = s + span * q
-    vals = g(u) * np.power(q, gamma_exp)
-    return np.power(span[..., 0], gamma_exp + 1.0) * np.sum(jac * vals, axis=-1)
+    u = s + span * np.power(v, 1.0 / a)
+    return np.power(span[..., 0], a) / a * np.sum(jac * g(u), axis=-1)
 
 
 def _kernel_values(H: float, beta: float, xi: float, t, s, h=0.06, n=64):
     """Evaluate the Volterra kernel F^H with rate beta and scale xi.
 
     beta = 0 and xi = 1 gives K^H; beta = 0 with general xi gives G^H_0.
-    Vectorised over broadcastable t, s with 0 < s < t.
+    Vectorised over broadcastable t, s with 0 < s < t. Only beta != 0 with
+    H != 1/2 needs quadrature (h, n set its rule).
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -223,6 +256,8 @@ def _kernel_values(H: float, beta: float, xi: float, t, s, h=0.06, n=64):
         return xi * np.exp(beta * (t - s))
     hm = H - 0.5
     kap = kappa(H)
+    if beta == 0.0:
+        return xi * kap * np.power(t - s, hm) * hyp2f1(hm, -hm, H + 0.5, 1.0 - t / s)
     shape = np.broadcast_shapes(t.shape, s.shape)
     tb = np.broadcast_to(t, shape).astype(float)
     sb = np.broadcast_to(s, shape).astype(float)
@@ -245,8 +280,9 @@ def _kernel_values(H: float, beta: float, xi: float, t, s, h=0.06, n=64):
 def eval_kernel(spec: KernelSpec, t: float, s: float, rtol: float = 1e-8) -> float:
     """Pointwise kernel value Phi(t, s) for 0 < s < t <= 1.
 
-    For H != 1/2 the inner integral is computed at two quadrature levels and
-    the refinement must agree to rtol, otherwise QuadratureError is raised.
+    Closed forms are returned directly. Otherwise (beta != 0, H != 1/2) the
+    inner integral is computed at two quadrature levels and the refinement
+    must agree to rtol, otherwise QuadratureError is raised.
     """
     if not (0.0 < s < t <= 1.0 + 1e-12):
         raise DomainError(f"need 0 < s < t <= 1, got s={s}, t={t}")
@@ -257,6 +293,8 @@ def eval_kernel(spec: KernelSpec, t: float, s: float, rtol: float = 1e-8) -> flo
     xi = spec.effective_xi
     if H == 0.5:
         return float(xi * math.exp(beta * (t - s)))
+    if beta == 0.0:
+        return float(_kernel_values(H, beta, xi, t, s))
     ta, sa = np.array([t]), np.array([s])
     h = 0.12
     prev = _kernel_values(H, beta, xi, ta, sa, h=h, n=int(math.ceil(5.0 / h))).item()
@@ -272,7 +310,8 @@ def eval_kernel(spec: KernelSpec, t: float, s: float, rtol: float = 1e-8) -> flo
 
 
 def eval_kernel_batch(spec: KernelSpec, t, s) -> np.ndarray:
-    """Vectorised kernel evaluation without the adaptive convergence check."""
+    """Vectorised kernel evaluation; the beta != 0 quadrature runs at one
+    fixed level, without the adaptive convergence check."""
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if spec.kind is KernelKind.IDENTITY:
@@ -343,7 +382,11 @@ def l2_energy(f, g, grid: TimeGrid) -> float:
 
 
 def gram_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """Covariance matrix G[i, j] = int_0^min(ti,tj) Phi(ti,r) Phi(tj,r) dr."""
+    """Covariance matrix G[i, j] = int_0^min(ti,tj) Phi(ti,r) Phi(tj,r) dr.
+
+    Closed form (xi^2 times the fBm covariance) when the effective beta is
+    zero; tanh-sinh quadrature of the kernel products otherwise.
+    """
     key = _cache_key("gram", spec, grid)
     if key in _matrix_cache:
         return _matrix_cache[key]
@@ -352,6 +395,10 @@ def gram_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     G = np.zeros((n, n))
     if spec.kind is KernelKind.IDENTITY:
         G = np.minimum.outer(t, t)
+        _matrix_cache[key] = G
+        return G
+    if spec.effective_beta == 0.0:
+        G = spec.effective_xi ** 2 * fbm_covariance_matrix(spec.hurst.H, grid)
         _matrix_cache[key] = G
         return G
     q, qc, jac = _tanh_sinh_rule(0.05, 80)
@@ -365,8 +412,5 @@ def gram_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
         kj = eval_kernel_batch(spec, np.broadcast_to(tj, (n - i, r.size)), np.broadcast_to(r, (n - i, r.size)))
         G[i, i:] = ti * np.sum(jac * ki * kj, axis=1)
         G[i:, i] = G[i, i:]
-    asym = np.max(np.abs(G - G.T))
-    if asym > 1e-10:
-        raise QuadratureError(f"Gram matrix asymmetry {asym} exceeds 1e-10")
     _matrix_cache[key] = G
     return G

@@ -23,8 +23,8 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     TimeGrid,
-    eval_kernel_batch,
     gram_matrix,
+    operator_matrix,
 )
 from .paths import GaussianPathBatch, _stable_cholesky, fbm_covariance, make_rng
 
@@ -417,32 +417,35 @@ def _vol_coefficient(params: ModelParams, scheme: RescalingScheme, eps: float):
 
 _joint_chol_cache: dict = {}
 
+# Most rows of the fine-grid map computed at once in _simulate_general:
+# small enough that each block's (rows, 2m) temporaries stay in cache.
+_ROW_BLOCK = 2048
 
-def _joint_bm_fbm_cholesky(H: float, t: np.ndarray):
-    """Cholesky factor of the joint law of (B_{t_1..t_n}, W^H_{t_1..t_n})
-    where B is the Volterra-generating Brownian motion of W^H."""
-    key = (H, tuple(t))
-    if key in _joint_chol_cache:
-        return _joint_chol_cache[key]
+
+def _joint_bm_fbm_covariance(H: float, t: np.ndarray) -> np.ndarray:
+    """Covariance of (B_{t_1..t_n}, W^H_{t_1..t_n}) where B is the
+    Volterra-generating Brownian motion of W^H."""
     n = t.size
     C = np.empty((2 * n, 2 * n))
     C[:n, :n] = np.minimum.outer(t, t)
     C[n:, n:] = fbm_covariance(H, t[:, None], t[None, :])
-    # Cov(B_ti, W^H_tj) = int_0^min(ti,tj) K^H(tj, u) du
-    spec = KernelSpec(KernelKind.K_FBM, HurstParams(H))
-    from .kernels import _tanh_sinh_rule
-
-    q, _, jac = _tanh_sinh_rule(0.05, 80)
-    cross = np.empty((n, n))
-    for i in range(n):
-        m = np.minimum(t[i], t)
-        u = m[:, None] * q[None, :]
-        u = np.clip(u, 1e-300, t[:, None] * (1.0 - 1e-15))
-        kv = eval_kernel_batch(spec, np.broadcast_to(t[:, None], u.shape), u)
-        cross[i, :] = m * np.sum(jac * kv, axis=1)
+    # Cov(B_ti, W^H_tj) = int_0^min(ti,tj) K^H(tj, u) du = sum over the panels
+    # k <= min(i, j) of the K^H operator matrix A[j, k]
+    grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(np.concatenate([[0.0], t]))))
+    A = np.cumsum(operator_matrix(KernelSpec(KernelKind.K_FBM, HurstParams(H)), grid), axis=1)
+    idx = np.arange(n)
+    cross = A[idx[None, :], np.minimum.outer(idx, idx)]
     C[:n, n:] = cross
     C[n:, :n] = cross.T
-    L = _stable_cholesky(C)
+    return C
+
+
+def _joint_bm_fbm_cholesky(H: float, t: np.ndarray):
+    """Cholesky factor of the joint law of (B_{t_1..t_n}, W^H_{t_1..t_n})."""
+    key = (H, tuple(t))
+    if key in _joint_chol_cache:
+        return _joint_chol_cache[key]
+    L = _stable_cholesky(_joint_bm_fbm_covariance(H, t))
     _joint_chol_cache[key] = L
     return L
 
@@ -534,6 +537,19 @@ def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
 
 def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
                       lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol, n_fine):
+    """Fine-grid simulation for H != 1/2.
+
+    Paths are drawn in outer chunks of about 2e7 / m paths; each chunk draws
+    its correlated normals Z (c, 2m) and then its independent increments
+    (c, m), which fixes the random-number layout for a given seed. The map
+    from those draws to paths (the joint (B, W^H) GEMM, the trapezoid fOU
+    integral, the Euler X recursion and the gather at coarse nodes) then
+    runs on near-equal inner blocks of at most _ROW_BLOCK rows, a cache tile
+    only: every step is row-wise, so the blocking does not change the result.
+    Blocks are near-equal rather than a remainder of a few rows because BLAS
+    multiplies very short matrices with other kernels, whose sums differ in
+    the last bits.
+    """
     H = params.hurst.H
     t_coarse = grid.t
     T = t_coarse[-1]
@@ -543,43 +559,48 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     rho, rho_bar = params.rho, params.rho_bar
     edges = np.concatenate([[0.0], t_fine])
     dtf = np.diff(edges)
+    sqrt_dtf = np.sqrt(dtf)
     idx = np.searchsorted(t_fine, t_coarse)
     n = grid.n
     x = np.zeros((n_paths, n))
     y = np.zeros((n_paths, n))
+    # fOU integral by parts on the fine grid, evaluated at coarse nodes:
+    # Z_t = W^H_t + beta_eff int_0^t W^H_u e^{beta_eff (t-u)} du, as a
+    # cumulative trapezoid of W^H e^{-beta_eff u} scaled by e^{beta_eff t}
+    emb = np.exp(-beta_eff * t_fine)
+    ebt = np.exp(beta_eff * t_fine)
+    bebt = beta_eff * ebt
+    lam_part = lam_term_coef * (1.0 - ebt)
+    half_t0 = 0.5 * t_fine[0]
     chunk = max(1, int(2e7 // m))
-    # precompute exponential decay factors for the product-rule integral
     done = 0
     while done < n_paths:
         c = min(chunk, n_paths - done)
         Z = rng.standard_normal((c, 2 * m))
-        J = Z @ L.T
-        B = J[:, :m]
-        WH = J[:, m:]
-        th = theta[done : done + c]
-        # fOU integral by parts on the fine grid, evaluated at coarse nodes
-        # Z_t = W^H_t + beta_eff int_0^t W^H_u e^{beta_eff (t-u)} du
-        ycoarse = np.empty((c, n))
-        yfine = np.empty((c, m))
-        # cumulative trapezoid of W^H e^{-beta_eff u}, then scale by e^{beta_eff t}
-        g = WH * np.exp(-beta_eff * t_fine)[None, :]
-        cum = np.concatenate(
-            [0.5 * t_fine[0] * g[:, :1],
-             0.5 * t_fine[0] * g[:, :1] + np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * dtf[1:][None, :], axis=1)],
-            axis=1,
-        )
-        zfou = WH + beta_eff * np.exp(beta_eff * t_fine)[None, :] * cum
-        ebt = np.exp(beta_eff * t_fine)
-        yfine = th[:, None] * start_scale * ebt[None, :] + lam_term_coef * (1.0 - ebt)[None, :] + noise_scale * zfou
-        # Euler X on the fine grid using left-endpoint vol
-        dB = np.diff(np.concatenate([np.zeros((c, 1)), B], axis=1), axis=1)
-        dBp = rng.standard_normal((c, m)) * np.sqrt(dtf)[None, :]
-        dWbar = rho * dB + rho_bar * dBp
-        ylag = np.concatenate([(start_scale * th)[:, None], yfine[:, :-1]], axis=1)
-        sv = svol(ylag)
-        xs = np.cumsum(drift_coef * sv * sv * dtf[None, :] + xnoise_coef * sv * dWbar, axis=1)
-        x[done : done + c] = xs[:, idx]
-        y[done : done + c] = yfine[:, idx]
+        dBp = rng.standard_normal((c, m))
+        nb = -(-c // _ROW_BLOCK)
+        for b in range(nb):
+            lo, hi = c * b // nb, c * (b + 1) // nb
+            J = Z[lo:hi] @ L.T
+            B = J[:, :m]
+            WH = J[:, m:]
+            th = theta[done + lo : done + hi]
+            g = WH * emb
+            cum = np.concatenate(
+                [half_t0 * g[:, :1],
+                 half_t0 * g[:, :1] + np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * dtf[1:], axis=1)],
+                axis=1,
+            )
+            zfou = WH + bebt * cum
+            yfine = th[:, None] * start_scale * ebt + lam_part + noise_scale * zfou
+            # Euler X on the fine grid using left-endpoint vol
+            dB = np.diff(B, axis=1, prepend=0.0)
+            dWbar = rho * dB + rho_bar * (dBp[lo:hi] * sqrt_dtf)
+            ylag = np.concatenate([(start_scale * th)[:, None], yfine[:, :-1]], axis=1)
+            sv = svol(ylag)
+            xs = np.cumsum(drift_coef * sv * sv * dtf + xnoise_coef * sv * dWbar, axis=1)
+            x[done + lo : done + hi] = xs[:, idx]
+            y[done + lo : done + hi] = yfine[:, idx]
         done += c
     return x, y
 

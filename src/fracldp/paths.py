@@ -10,6 +10,7 @@ on scheduling.
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     TimeGrid,
+    fbm_covariance,
+    fbm_covariance_matrix,
     gram_matrix,
 )
 
@@ -56,33 +59,27 @@ def make_rng(seed, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(ss.spawn(stream + 1)[stream])
 
 
-def fbm_covariance(H: float, t: float, s: float):
-    """Covariance (1/2)(t^2H + s^2H - |t-s|^2H) of fBm; vectorises over t, s."""
-    if not 0.0 < H < 1.0:
-        raise DomainError(f"Hurst parameter must lie in (0,1), got {H}")
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    out = 0.5 * (np.abs(t) ** (2 * H) + np.abs(s) ** (2 * H) - np.abs(t - s) ** (2 * H))
-    return float(out) if out.ndim == 0 else out
-
-
-def fbm_covariance_matrix(H: float, grid: TimeGrid) -> np.ndarray:
-    t = grid.t
-    return fbm_covariance(H, t[:, None], t[None, :])
-
-
 def _stable_cholesky(C: np.ndarray) -> np.ndarray:
     """Cholesky factor with a small diagonal jitter fallback for matrices
-    that are PSD only up to roundoff."""
+    that are PSD only up to roundoff. Falling back emits a RuntimeWarning
+    that names the jitter used."""
     try:
         return np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         scale = np.max(np.abs(np.diag(C)))
         for k in range(10, 5, -1):
+            jitter = 10.0 ** -k * scale
             try:
-                return np.linalg.cholesky(C + (10.0 ** -k * scale) * np.eye(C.shape[0]))
+                L = np.linalg.cholesky(C + jitter * np.eye(C.shape[0]))
             except np.linalg.LinAlgError:
                 continue
+            warnings.warn(
+                f"covariance matrix is not numerically positive definite; factorised "
+                f"with diagonal jitter {jitter:.3e} (1e-{k} times its largest diagonal entry)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return L
         w = np.linalg.eigvalsh(C)
         raise np.linalg.LinAlgError(
             f"covariance factorization failed; smallest eigenvalue {w.min():.3e}"

@@ -137,6 +137,7 @@ def _oracle_problems():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_4_rate_solver_oracle(capsys):
     """|solve - brute_force_rate| <= 1e-3 on 6 problems; Schilder 0.5 to 1e-6."""
     t0 = time.time()
@@ -245,6 +246,7 @@ def test_criterion_8_wings_independence(capsys):
                   f"slope byte-identical {same}, {dt:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_9_smalltime_explosion_exponent(capsys):
     """H = 0.3, b = 0.2, linear vol: regression of log(implied variance)
     against log t over t in {0.04, 0.02, 0.01} should give slope -b +- 15%.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
+from scipy.special import betaincc
 
 from fracldp import (
     DomainError,
@@ -39,6 +41,25 @@ F_ORACLE = {
     (0.3, 1.0, 0.5): 0.40507691775705194,
     (0.7, 0.7, 0.3): 0.64010837505206983,
     (0.7, 1.0, 0.5): 0.60396291240291042,
+}
+
+# fOU kernel at beta = -1.2, xi = 1 just above H = 1/2, where the endpoint
+# power (u-s)^{H-3/2} is close to non-integrable. 30-digit values of
+# F(t,s) = K(t,s) + beta int_s^t K(u,s) e^{beta(t-u)} du with K the closed-form
+# Molchan-Golosov kernel, made with mpmath 1.3.0 by:
+#   mp.mp.dps = 30
+#   kap = lambda H: mp.sqrt(2*H*mp.gamma(mp.mpf(3)/2 - H)
+#                           / (mp.gamma(H + mp.mpf(1)/2) * mp.gamma(2 - 2*H)))
+#   K = lambda H, t, s: kap(H) * (t-s)**(H-0.5) * mp.hyp2f1(H-0.5, 0.5-H, H+0.5, 1 - t/s)
+#   F = lambda H, b, t, s: K(H, t, s) + b * mp.quad(lambda u: K(H, u, s) * mp.exp(b*(t-u)), [s, t])
+#   F(mp.mpf("0.55"), mp.mpf("-1.2"), mp.mpf("0.7"), mp.mpf("0.3"))
+# The kernels.py representation, integrated by mpmath after substituting the
+# singularity away, agrees with these to 1e-30.
+F_ORACLE_ABOVE_HALF = {
+    (0.55, 0.7, 0.3): 0.63528410859237374842,
+    (0.55, 1.0, 0.5): 0.57371211055360025289,
+    (0.6, 0.7, 0.3): 0.64521417423826047656,
+    (0.6, 1.0, 0.5): 0.59216601140906325371,
 }
 
 
@@ -110,6 +131,20 @@ class TestEvalKernelOracle:
         spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=-1.2, xi=1.0)
         assert eval_kernel(spec, t, s) == pytest.approx(F_ORACLE[key], rel=1e-8)
 
+    @pytest.mark.parametrize("key", sorted(F_ORACLE_ABOVE_HALF))
+    def test_f_fou_just_above_half(self, key):
+        H, t, s = key
+        spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=-1.2, xi=1.0)
+        ref = F_ORACLE_ABOVE_HALF[key]
+        assert eval_kernel(spec, t, s) == pytest.approx(ref, rel=1e-12)
+        assert eval_kernel_batch(spec, t, s) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("key", sorted(K_ORACLE))
+    def test_k_fbm_batch_closed_form(self, key):
+        H, t, s = key
+        spec = KernelSpec(KernelKind.K_FBM, HurstParams(H))
+        assert eval_kernel_batch(spec, t, s) == pytest.approx(K_ORACLE[key], rel=1e-13)
+
     def test_g_zero_is_scaled_k(self):
         for H in (0.3, 0.7):
             kf = KernelSpec(KernelKind.K_FBM, HurstParams(H))
@@ -153,6 +188,22 @@ class TestEvalKernelOracle:
         batch = eval_kernel_batch(spec, ts, ss)
         for i in range(2):
             assert batch[i] == pytest.approx(eval_kernel(spec, ts[i], ss[i]), rel=1e-9)
+
+
+class TestMolchanGolosovClosedForm:
+    @pytest.mark.parametrize("H", [0.05, 0.1, 0.3, 0.45])
+    def test_matches_incomplete_beta_form(self, H):
+        """For H < 1/2 the Volterra representation integrates to
+        K(t,s) = kappa [(t(t-s)/s)^{hm} - hm s^{hm} B(1-2H, H+1/2) (1 - I_{s/t}(1-2H, H+1/2))],
+        an evaluation independent of the hypergeometric one."""
+        hm = H - 0.5
+        rng = np.random.default_rng(7)
+        t = rng.uniform(0.01, 1.0, 500)
+        s = t * rng.uniform(1e-6, 1.0 - 1e-6, 500)
+        ref = kappa(H) * ((t * (t - s) / s) ** hm
+                          - hm * s ** hm * beta_fn(1 - 2 * H, H + 0.5) * betaincc(1 - 2 * H, H + 0.5, s / t))
+        got = eval_kernel_batch(KernelSpec(KernelKind.K_FBM, HurstParams(H)), t, s)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
 
 class TestTimeGrid:
@@ -230,6 +281,28 @@ class TestGramMatrix:
             G = gram_matrix(spec, g)
             ref = fbm_covariance_matrix(H, g)
             assert np.max(np.abs(G - ref)) <= 1e-6
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    def test_zero_beta_is_closed_form(self, H):
+        from fracldp import fbm_covariance_matrix
+
+        g = TimeGrid.uniform(12)
+        ref = 2.25 * fbm_covariance_matrix(H, g)
+        for spec in (KernelSpec(KernelKind.G_ZERO, HurstParams(H), xi=1.5),
+                     KernelSpec(KernelKind.G_EPS, HurstParams(H), beta=-1.0, xi=1.5, eps=0.0)):
+            np.testing.assert_allclose(gram_matrix(spec, g), ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("H, tol", [(0.1, 1e-3), (0.3, 1e-8), (0.7, 1e-8)])
+    def test_quadrature_gram_near_zero_beta(self, H, tol):
+        """The beta != 0 quadrature at beta = -1e-9 against the closed form.
+        beta itself moves the covariance by ~1e-9 relative; at H = 0.1 the
+        quadrature error of ~5e-4 dominates (the rough regime)."""
+        from fracldp import fbm_covariance_matrix
+
+        g = TimeGrid.uniform(16)
+        G = gram_matrix(KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=-1e-9), g)
+        ref = fbm_covariance_matrix(H, g)
+        assert np.max(np.abs(G - ref)) <= tol * np.max(np.abs(ref))
 
     def test_symmetric_psd(self):
         spec = KernelSpec(KernelKind.F_FOU, HurstParams(0.3), beta=-1.0, xi=1.0)

@@ -29,6 +29,8 @@ from fracldp import (
     tail_probability,
     uniform_law,
 )
+from fracldp import model
+from fracldp.kernels import _tanh_sinh_rule, eval_kernel_batch
 
 
 class TestVolFunction:
@@ -223,6 +225,73 @@ class TestSimulate:
         band = 5.0 * scale * np.sqrt((np.diag(ref)[:, None] * np.diag(ref)[None, :]
                                       + ref**2) / n) + 2e-4 * scale
         assert np.all(np.abs(emp - scale * ref) <= band)
+
+
+def _cross_block_nested_quadrature(H, t):
+    """Cov(B_ti, W^H_tj) = int_0^min(ti,tj) K^H(tj, u) du by a tanh-sinh rule
+    on the whole interval: the construction the operator-matrix row-cumsum
+    replaced, kept as an oracle."""
+    spec = KernelSpec(KernelKind.K_FBM, HurstParams(H))
+    q, _, jac = _tanh_sinh_rule(0.05, 80)
+    cross = np.empty((t.size, t.size))
+    for i in range(t.size):
+        m = np.minimum(t[i], t)
+        u = np.clip(m[:, None] * q[None, :], 1e-300, t[:, None] * (1.0 - 1e-15))
+        kv = eval_kernel_batch(spec, np.broadcast_to(t[:, None], u.shape), u)
+        cross[i, :] = m * np.sum(jac * kv, axis=1)
+    return cross
+
+
+# int_0^1 K^H(1, v) dv, so that Cov(B_t, W^H_t) = c_H t^{H+1/2}; 30-digit
+# mpmath quadrature of the closed-form kernel (see test_kernels.py):
+#   mp.quad(lambda v: K(H, 1, v), [0, 0.5, 1])
+CROSS_DIAG_ORACLE = {
+    0.1: 0.78768750249430196853,
+    0.3: 0.97580344683686453327,
+    0.7: 0.97258296612281297487,
+}
+
+
+class TestJointCovariance:
+    """Joint law of (B, W^H) on the fine grid of the H != 1/2 simulation.
+    Tolerances are looser at H = 0.1: the panel quadrature of the rough
+    kernel's (t-s)^{H-1/2} endpoint reaches ~4e-10 relative there."""
+
+    @pytest.mark.parametrize("H, tol", [(0.1, 1e-10), (0.3, 1e-12), (0.7, 1e-12)])
+    def test_cross_block_matches_nested_quadrature(self, H, tol):
+        t = TimeGrid.uniform(16).t
+        cross = model._joint_bm_fbm_covariance(H, t)[:16, 16:]
+        assert np.max(np.abs(cross - _cross_block_nested_quadrature(H, t))) <= tol
+
+    @pytest.mark.parametrize("H, tol", [(0.1, 1e-9), (0.3, 1e-12), (0.7, 1e-12)])
+    def test_cross_diagonal_homogeneous(self, H, tol):
+        t = TimeGrid.uniform(16).t
+        cross = model._joint_bm_fbm_covariance(H, t)[:16, 16:]
+        np.testing.assert_allclose(np.diag(cross) / t ** (H + 0.5), CROSS_DIAG_ORACLE[H],
+                                   rtol=tol, atol=0)
+
+    def test_h_half_cross_is_min(self):
+        t = TimeGrid.uniform(16).t
+        cross = model._joint_bm_fbm_covariance(0.5, t)[:16, 16:]
+        np.testing.assert_allclose(cross, np.minimum.outer(t, t), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9])
+    def test_factors_without_jitter(self, H):
+        C = model._joint_bm_fbm_covariance(H, TimeGrid.uniform(128).t)
+        np.linalg.cholesky(C)  # raises if jitter would be needed
+
+    def test_row_blocking_does_not_change_paths(self, monkeypatch):
+        # 1001 paths: one block by default, near-equal blocks of 62-63 rows
+        # below. Single-row blocks are not used: BLAS multiplies them with
+        # another kernel, whose sums differ in the last bits.
+        params = ModelParams(hurst=HurstParams(0.3), vol=linear_vol(b=0.75), rho=-0.4)
+        args = (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
+                TimeGrid.uniform(16), 1001)
+        x0, y0 = simulate(*args, seed=4)
+        monkeypatch.setattr(model, "_ROW_BLOCK", 64)
+        x1, y1 = simulate(*args, seed=4)
+        assert np.array_equal(x0.values, x1.values)
+        assert np.array_equal(y0.values, y1.values)
 
 
 class TestTailProbabilityAndSlope:

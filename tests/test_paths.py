@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fracldp import (
     sample_fbm,
     sample_fou,
 )
+from fracldp.paths import _stable_cholesky
 
 
 class TestFbmCovariance:
@@ -129,3 +132,18 @@ class TestRngStreams:
         r1 = make_rng(9, stream=1).standard_normal(4)
         assert np.array_equal(r0, r0b)
         assert not np.array_equal(r0, r1)
+
+
+class TestStableCholesky:
+    def test_jitter_warns(self):
+        C = np.ones((4, 4))  # rank one: PSD, but not positive definite
+        with pytest.warns(RuntimeWarning, match=r"jitter 1\.000e-10"):
+            L = _stable_cholesky(C)
+        assert np.max(np.abs(L @ L.T - C)) <= 1e-9
+
+    def test_positive_definite_is_silent(self):
+        C = fbm_covariance_matrix(0.3, TimeGrid.uniform(16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = _stable_cholesky(C)
+        assert np.allclose(L @ L.T, C, atol=1e-14)

@@ -108,6 +108,7 @@ class TestSolve:
         assert res.value == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.slow
 class TestBruteForceOracle:
     def test_schilder_coarse(self):
         p = identity_problem(n=4)
