@@ -580,7 +580,10 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="path to JSON run config")
     ap.add_argument("--seed", type=int, default=None,
                     help=f"seed override (beats ${SEED_ENV_VAR})")
-    ap.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
+    ap.add_argument("--threads", type=int, default=None,
+                    help="exported as OMP/OPENBLAS/MKL_NUM_THREADS when unset; numpy has "
+                         "already loaded its BLAS by then, so it does not cap BLAS threads, "
+                         "and it does not size the simulation's thread pool")
     ap.add_argument("--out", default=None, help="output directory override")
     ap.add_argument("--override", action="append", default=[],
                     metavar="KEY=VALUE", help="dotted-path config override, repeatable")

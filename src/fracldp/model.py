@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,7 +60,6 @@ class VolFunction:
     b: float = 1.0
     sigma_fn: Optional[Callable] = None
     sigma_tilde_fn: Optional[Callable] = None
-    lipschitz_c: float = 1.0
 
     def __post_init__(self):
         self.kind = VolKind(self.kind)
@@ -67,9 +68,6 @@ class VolFunction:
             raise DomainError("scaling exponent b must be nonnegative")
         if self.kind is VolKind.TABULATED and (self.sigma_fn is None or self.sigma_tilde_fn is None):
             raise DomainError("Tabulated vol needs sigma_fn and sigma_tilde_fn")
-        # linear-growth constant checked on a lattice
-        y = np.linspace(-50.0, 50.0, 201)
-        self.lipschitz_c = float(np.max(np.abs(self.sigma(y)) / (1.0 + np.abs(y))))
 
     def sigma(self, y):
         y = np.asarray(y, dtype=float)
@@ -417,9 +415,16 @@ def _vol_coefficient(params: ModelParams, scheme: RescalingScheme, eps: float):
 
 _joint_chol_cache: dict = {}
 
-# Most rows of the fine-grid map computed at once in _simulate_general:
-# small enough that each block's (rows, 2m) temporaries stay in cache.
+# Rows per block of _simulate_general. Part of the seed layout: block b
+# draws from the b-th child stream, so changing this changes the paths for a
+# given seed. Small enough that a block's (rows, 2m) arrays stay in cache.
 _ROW_BLOCK = 2048
+
+# Threads that run those blocks; not part of the seed layout.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no CPU affinity on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 def _joint_bm_fbm_covariance(H: float, t: np.ndarray) -> np.ndarray:
@@ -535,73 +540,90 @@ def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     return x, y
 
 
+def _linear_map(L: np.ndarray, t_fine: np.ndarray, beta_eff: float,
+                noise_scale: float) -> np.ndarray:
+    """The (2m, 2m) matrix M such that Z @ M.T = [dB, noise_scale * Z^fOU]
+    on the fine grid t_fine, where Z @ L.T = [B, W^H].
+
+    dB is the first difference of B (B_0 = 0). The fOU integral by parts,
+    Z^fOU_t = W^H_t + beta_eff int_0^t W^H_u e^{beta_eff (t-u)} du, is the
+    cumulative trapezoid of W^H e^{-beta_eff u} (W^H linear from W^H_0 = 0
+    on the first panel) scaled by e^{beta_eff t}, so Z^fOU = F W^H with
+    F = I + diag(beta_eff e^{beta_eff t}) W_trap diag(e^{-beta_eff t}).
+    """
+    m = t_fine.size
+    half = 0.5 * np.diff(t_fine, prepend=0.0)
+    # row k: panel k adds half its width times its two end values; row j of
+    # W_trap sums panels 0..j
+    W_trap = np.cumsum(np.diag(half) + np.diag(half[1:], k=-1), axis=0)
+    F = np.eye(m) + (beta_eff * np.exp(beta_eff * t_fine))[:, None] * W_trap \
+        * np.exp(-beta_eff * t_fine)
+    return np.vstack([np.diff(L[:m], axis=0, prepend=0.0), noise_scale * (F @ L[m:])])
+
+
 def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
                       lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol, n_fine):
     """Fine-grid simulation for H != 1/2.
 
-    Paths are drawn in outer chunks of about 2e7 / m paths; each chunk draws
-    its correlated normals Z (c, 2m) and then its independent increments
-    (c, m), which fixes the random-number layout for a given seed. The map
-    from those draws to paths (the joint (B, W^H) GEMM, the trapezoid fOU
-    integral, the Euler X recursion and the gather at coarse nodes) then
-    runs on near-equal inner blocks of at most _ROW_BLOCK rows, a cache tile
-    only: every step is row-wise, so the blocking does not change the result.
-    Blocks are near-equal rather than a remainder of a few rows because BLAS
-    multiplies very short matrices with other kernels, whose sums differ in
-    the last bits.
+    Paths are simulated in blocks of _ROW_BLOCK rows (the last block is
+    shorter). Block b draws its correlated normals Z (rows, 2m) and then its
+    independent increments (rows, m) from the b-th child stream spawned from
+    `rng` after Theta, so the block size is part of the random-number
+    layout and the paths are a function of the seed and n_paths only. One
+    GEMM with _linear_map's matrix gives each block's dB and Y noise; the
+    Euler X recursion and the gather at coarse nodes follow. Blocks write
+    disjoint rows and run on up to _WORKERS threads (numpy's RNG fill, BLAS
+    and ufuncs release the GIL); the worker count does not change the
+    result. A Tabulated vol's user callables therefore run on worker
+    threads, concurrently.
     """
     H = params.hurst.H
     t_coarse = grid.t
     T = t_coarse[-1]
     t_fine = np.unique(np.concatenate([np.linspace(0.0, T, n_fine + 1)[1:], t_coarse]))
     m = t_fine.size
-    L = _joint_bm_fbm_cholesky(H, t_fine)
-    rho, rho_bar = params.rho, params.rho_bar
-    edges = np.concatenate([[0.0], t_fine])
-    dtf = np.diff(edges)
-    sqrt_dtf = np.sqrt(dtf)
-    idx = np.searchsorted(t_fine, t_coarse)
-    n = grid.n
-    x = np.zeros((n_paths, n))
-    y = np.zeros((n_paths, n))
-    # fOU integral by parts on the fine grid, evaluated at coarse nodes:
-    # Z_t = W^H_t + beta_eff int_0^t W^H_u e^{beta_eff (t-u)} du, as a
-    # cumulative trapezoid of W^H e^{-beta_eff u} scaled by e^{beta_eff t}
-    emb = np.exp(-beta_eff * t_fine)
-    ebt = np.exp(beta_eff * t_fine)
-    bebt = beta_eff * ebt
-    lam_part = lam_term_coef * (1.0 - ebt)
-    half_t0 = 0.5 * t_fine[0]
-    chunk = max(1, int(2e7 // m))
-    done = 0
-    while done < n_paths:
-        c = min(chunk, n_paths - done)
-        Z = rng.standard_normal((c, 2 * m))
-        dBp = rng.standard_normal((c, m))
-        nb = -(-c // _ROW_BLOCK)
+    M = _linear_map(_joint_bm_fbm_cholesky(H, t_fine), t_fine, beta_eff, noise_scale)
+    # fold the X noise coefficient of dB into M, and drop dB when it is unused
+    M[:m] *= xnoise_coef * params.rho
+    MT = (M if params.rho else M[m:]).T
+    dtf = np.diff(t_fine, prepend=0.0)
+    dbp_coef = xnoise_coef * params.rho_bar * np.sqrt(dtf)
+    drift = drift_coef * dtf
+    # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
+    ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
+    y_start = start_scale * ebt
+    y_lam = lam_term_coef * (1.0 - ebt)
+    gather = np.searchsorted(t_fine, t_coarse)
+    x = np.empty((n_paths, grid.n))
+    y = np.empty((n_paths, grid.n))
+    nb = -(-n_paths // _ROW_BLOCK)
+    streams = rng.spawn(nb)
+
+    def run_block(b):
+        lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
+        Z = streams[b].standard_normal((hi - lo, 2 * m))
+        dw = streams[b].standard_normal((hi - lo, m))
+        N = Z @ MT
+        yb = theta[lo:hi, None] * y_start + y_lam
+        yb[:, 1:] += N[:, -m:]
+        # Euler X on the fine grid using left-endpoint vol
+        sv = svol(yb[:, :-1])
+        dw *= dbp_coef
+        if params.rho:
+            dw += N[:, :m]
+        dw += drift * sv
+        dw *= sv
+        np.cumsum(dw, axis=1, out=dw)
+        x[lo:hi] = dw[:, gather]
+        y[lo:hi] = yb[:, gather + 1]
+
+    workers = min(nb, _WORKERS)
+    if workers == 1:
         for b in range(nb):
-            lo, hi = c * b // nb, c * (b + 1) // nb
-            J = Z[lo:hi] @ L.T
-            B = J[:, :m]
-            WH = J[:, m:]
-            th = theta[done + lo : done + hi]
-            g = WH * emb
-            cum = np.concatenate(
-                [half_t0 * g[:, :1],
-                 half_t0 * g[:, :1] + np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * dtf[1:], axis=1)],
-                axis=1,
-            )
-            zfou = WH + bebt * cum
-            yfine = th[:, None] * start_scale * ebt + lam_part + noise_scale * zfou
-            # Euler X on the fine grid using left-endpoint vol
-            dB = np.diff(B, axis=1, prepend=0.0)
-            dWbar = rho * dB + rho_bar * (dBp[lo:hi] * sqrt_dtf)
-            ylag = np.concatenate([(start_scale * th)[:, None], yfine[:, :-1]], axis=1)
-            sv = svol(ylag)
-            xs = np.cumsum(drift_coef * sv * sv * dtf + xnoise_coef * sv * dWbar, axis=1)
-            x[done + lo : done + hi] = xs[:, idx]
-            y[done + lo : done + hi] = yfine[:, idx]
-        done += c
+            run_block(b)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run_block, range(nb)))
     return x, y
 
 
@@ -645,7 +667,9 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     eps ladder and extrapolating an affine fit in eps to eps = 0.
 
     The affine-in-eps fit form is pragmatic (the prefactor correction is not
-    exactly affine); intercept and its standard error are reported.
+    exactly affine); intercept and its standard error are reported. Ladder
+    point i draws from child stream i of the seed, as the CLI `simulate`
+    command does, in chunks of at most chunk_size paths.
     """
     eps_ladder = list(eps_ladder)
     if len(eps_ladder) < 3:
@@ -655,11 +679,11 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     base_seed = seed if isinstance(seed, int) else 0
     ss = np.random.SeedSequence(base_seed)
     h_log_p, p_hats, std_errs, censored = [], [], [], []
-    T = grid.t[-1]
+    children = ss.spawn(len(eps_ladder))
     for i, eps in enumerate(eps_ladder):
         count = 0
         done = 0
-        child = np.random.default_rng(ss.spawn(len(eps_ladder))[i])
+        child = np.random.default_rng(children[i])
         while done < n_paths:
             c = min(chunk_size, n_paths - done)
             xb, _ = simulate(params, law, scheme, eps, grid, c, child)

@@ -2,9 +2,11 @@
 
 All samplers are exact in law on the grid nodes (up to Cholesky roundoff).
 Reproducibility contract: a 64-bit seed fully determines the batch for a
-given grid, path count and construction. Parallel generation splits the
-seed into per-chunk child streams by chunk index, so results do not depend
-on scheduling.
+given grid, path count and construction. The samplers here draw from one
+stream. Where work is split, each piece draws from its own child stream,
+spawned by index, so results do not depend on scheduling: the row blocks of
+`model.simulate` at H != 1/2, which run on a thread pool, and the ladder
+points of `model.ldp_slope` and of the CLI `simulate` command.
 """
 
 from __future__ import annotations

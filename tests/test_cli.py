@@ -5,6 +5,15 @@ import os
 
 import pytest
 
+from fracldp import (
+    HurstParams,
+    ModelParams,
+    RescalingScheme,
+    TimeGrid,
+    ldp_slope,
+    linear_vol,
+    point_law,
+)
 from fracldp.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -120,6 +129,21 @@ class TestSimulateCommand:
         run(p2, out=str(tmp_path / "o2"))
         assert (out / "simulate.csv").read_bytes() == \
                (tmp_path / "o2" / "simulate.csv").read_bytes()
+
+    @pytest.mark.parametrize("H", [0.5, 0.3])
+    def test_p_hat_matches_ldp_slope(self, tmp_path, H):
+        # one child stream per ladder index in both; n_paths <= chunk_size
+        cfg = dict(self.CFG, model={"H": H, "vol": {"kind": "Linear", "b": 0.75}},
+                   eps_ladder=[0.7, 0.6, 0.5])
+        out = tmp_path / "o"
+        assert run(write_config(tmp_path, cfg), out=str(out)) == EXIT_OK
+        p_cli = [float(r[2]) for r in read_csv(out / "simulate.csv")[1:]]
+        params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75))
+        fit = ldp_slope(params, point_law(0.1), RescalingScheme("Tails", b=0.75),
+                        cfg["eps_ladder"], cfg["level"], cfg["n_paths"], cfg["seed"],
+                        grid=TimeGrid.uniform(16))
+        assert p_cli == fit.p_hats
+        assert all(p > 0 for p in p_cli)
 
 
 class TestRateCommand:

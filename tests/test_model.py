@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -209,9 +210,10 @@ class TestSimulate:
                                       + ref**2) / n)
         assert np.all(np.abs(emp - scale * ref) <= band + 1e-12)
 
-    def test_y_law_exact_rough(self):
-        # same check through the joint Volterra construction at H = 0.3
-        b, eps, H = 0.2, 0.5, 0.3
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    def test_y_law_exact_rough(self, H):
+        # same check through the joint Volterra construction
+        b, eps = 0.2, 0.5
         params = ModelParams(lam=0.0, beta=-1.0, xi=1.0, rho=0.0,
                              hurst=HurstParams(H), vol=linear_vol(b=b))
         scheme = RescalingScheme(SchemeKind.SMALL_TIME, b=b)
@@ -225,6 +227,26 @@ class TestSimulate:
         band = 5.0 * scale * np.sqrt((np.diag(ref)[:, None] * np.diag(ref)[None, :]
                                       + ref**2) / n) + 2e-4 * scale
         assert np.all(np.abs(emp - scale * ref) <= band)
+
+
+def _stepwise_linear_map(L, Z, t_fine, beta_eff, noise_scale):
+    """(dB, noise_scale * Z^fOU) from the normals Z step by step: the GEMM
+    with L, the difference of B and the cumulative trapezoid of the fOU
+    integral by parts. This is the construction `_linear_map` folds into
+    one matrix, kept as an oracle."""
+    m = t_fine.size
+    J = Z @ L.T
+    B, WH = J[:, :m], J[:, m:]
+    dtf = np.diff(np.concatenate([[0.0], t_fine]))
+    g = WH * np.exp(-beta_eff * t_fine)
+    half_t0 = 0.5 * t_fine[0]
+    cum = np.concatenate(
+        [half_t0 * g[:, :1],
+         half_t0 * g[:, :1] + np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * dtf[1:], axis=1)],
+        axis=1,
+    )
+    zfou = WH + beta_eff * np.exp(beta_eff * t_fine) * cum
+    return np.diff(B, axis=1, prepend=0.0), noise_scale * zfou
 
 
 def _cross_block_nested_quadrature(H, t):
@@ -280,18 +302,55 @@ class TestJointCovariance:
         C = model._joint_bm_fbm_covariance(H, TimeGrid.uniform(128).t)
         np.linalg.cholesky(C)  # raises if jitter would be needed
 
-    def test_row_blocking_does_not_change_paths(self, monkeypatch):
-        # 1001 paths: one block by default, near-equal blocks of 62-63 rows
-        # below. Single-row blocks are not used: BLAS multiplies them with
-        # another kernel, whose sums differ in the last bits.
+
+class TestRoughSimulationLayout:
+    """Seed layout and linear map of the H != 1/2 fine-grid simulation."""
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("kind", [SchemeKind.TAILS, SchemeKind.SMALL_TIME])
+    def test_linear_map_matches_stepwise(self, H, kind):
+        params = ModelParams(beta=-1.3, xi=0.8, hurst=HurstParams(H), vol=linear_vol(b=0.75))
+        beta_eff, _, _, noise_scale, _, _ = model._scheme_coefficients(
+            params, RescalingScheme(kind, b=0.75), 0.5)
+        t = TimeGrid.uniform(16).t
+        t_fine = np.unique(np.concatenate([np.linspace(0.0, 1.0, 129)[1:], t]))
+        m = t_fine.size
+        L = model._joint_bm_fbm_cholesky(H, t_fine)
+        Z = np.random.default_rng(8).standard_normal((300, 2 * m))
+        N = Z @ model._linear_map(L, t_fine, beta_eff, noise_scale).T
+        for got, ref in zip((N[:, :m], N[:, m:]),
+                            _stepwise_linear_map(L, Z, t_fine, beta_eff, noise_scale)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def _args(self, n_paths):
         params = ModelParams(hurst=HurstParams(0.3), vol=linear_vol(b=0.75), rho=-0.4)
-        args = (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
-                TimeGrid.uniform(16), 1001)
-        x0, y0 = simulate(*args, seed=4)
-        monkeypatch.setattr(model, "_ROW_BLOCK", 64)
+        return (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
+                TimeGrid.uniform(16), n_paths)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_does_not_change_paths(self, monkeypatch, workers):
+        # two full blocks and a short one; with 3 workers every block gets a
+        # thread, and a short switch interval interleaves them more often
+        args = self._args(2 * model._ROW_BLOCK + 37)
+        monkeypatch.setattr(model, "_WORKERS", 1)
         x1, y1 = simulate(*args, seed=4)
-        assert np.array_equal(x0.values, x1.values)
-        assert np.array_equal(y0.values, y1.values)
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            x2, y2 = simulate(*args, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(x1.values, x2.values)
+        assert np.array_equal(y1.values, y2.values)
+
+    def test_first_block_is_prefix_stable(self):
+        R = model._ROW_BLOCK
+        x0, y0 = simulate(*self._args(R), seed=4)
+        x1, y1 = simulate(*self._args(2 * R + 37), seed=4)
+        assert np.array_equal(x0.values, x1.values[:R])
+        assert np.array_equal(y0.values, y1.values[:R])
+        assert not np.array_equal(x1.values[:R], x1.values[R : 2 * R])
 
 
 class TestTailProbabilityAndSlope:
