@@ -183,14 +183,6 @@ CONFIG_SCHEMA = {
                 "method": {"enum": ["raw", "conditional"]},
             },
         },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "feas_tol": _NUM,
-                "max_outer": _POSINT,
-            },
-        },
     },
 }
 

@@ -5,12 +5,16 @@ A rate problem minimizes the Cameron-Martin energy of a pair of controls
 chaining f through a Volterra kernel into the volatility path and both
 channels into the price integral. Optionally the volatility starting point
 ranges over a compact interval and is optimized jointly.
+
+For fixed f (and start) the constraint is linear in g, so the cheapest g is
+explicit; `solve` minimises the resulting reduced energy over f (and the
+start) alone, by multistart L-BFGS-B.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -18,16 +22,15 @@ from scipy.optimize import minimize
 
 from .kernels import (
     DomainError,
-    HurstParams,
     KernelKind,
     KernelSpec,
     TimeGrid,
-    l2_energy,
     operator_matrix,
 )
-from .model import ModelParams, VolFunction, constant_vol, linear_vol
+from .model import ModelParams, VolFunction
 
 INFEASIBLE = math.inf
+KKT_TOL = 1e-6   # converged: KKT residual <= KKT_TOL * max(1, |energy gradient|)
 
 
 @dataclass
@@ -110,13 +113,17 @@ def path_from_controls(problem: VariationalProblem, controls: ControlVector,
         raise DomainError(f"controls have length {controls.f.size}, grid has {grid.n}")
     u = problem.start[0] if start is None else start
     A = operator_matrix(problem.kernel, grid)
-    y = u * problem.homogeneous_factor() + A @ controls.f
+    return _paths(problem, A, problem.homogeneous_factor(), controls.f, controls.g, u)
+
+
+def _paths(problem, A, hom, f, g, u):
+    """`path_from_controls` given the operator matrix and start factor."""
+    y = u * hom + A @ f
     sig = problem.vol.sigma_tilde(y)
-    integrand = sig * (problem.rho * controls.f + problem.rho_bar * controls.g)
+    integrand = sig * (problem.rho * f + problem.rho_bar * g)
     if problem.include_drift:
         integrand = integrand - 0.5 * sig * sig
-    x = np.cumsum(grid.w * integrand)
-    return y, x
+    return y, np.cumsum(problem.grid.w * integrand)
 
 
 def _terminal_and_grad(problem, A, hom, f, g, u):
@@ -147,7 +154,11 @@ def _terminal_and_grad(problem, A, hom, f, g, u):
 def penalized_objective(problem: VariationalProblem, z: np.ndarray, nu: float, mu: float,
                         level: float, free_start: bool):
     """Augmented-Lagrangian objective and gradient over stacked variables
-    z = [f, g(, u)] for the equality constraint x_terminal = level."""
+    z = [f, g(, u)] for the equality constraint x_terminal = level.
+
+    `solve` does not use it: it minimises the reduced objective of
+    `_reduced_objective`, in which g is eliminated in closed form. This
+    form is kept as an independent statement of the full problem."""
     n = problem.grid.n
     f = z[:n]
     g = z[n : 2 * n]
@@ -168,8 +179,83 @@ def penalized_objective(problem: VariationalProblem, z: np.ndarray, nu: float, m
     return val, grad, r
 
 
+def _reduced_objective(problem: VariationalProblem, level: float, A: np.ndarray,
+                       hom: np.ndarray):
+    """The equality problem x_terminal = level with g eliminated.
+
+    For fixed (f, u) the cheapest g meeting the constraint is
+    g* = q rho_bar sigma_tilde(y) on the nodes up to `node_index` and 0
+    after it, with q = (level - a) / (rho_bar^2 S),
+    a = sum wm sigma_tilde(y) (rho f - 1/2 1_drift sigma_tilde(y)) and
+    S = sum wm sigma_tilde(y)^2 (wm: quadrature weights masked after the
+    constraint node). Its energy is (level - a)^2 / (2 rho_bar^2 S), so the
+    problem reduces to minimising
+
+        J(z) = 1/2 sum w f^2 + (level - a)^2 / (2 rho_bar^2 S)
+
+    over z = [f(, u)], u being part of z only when the start is free.
+    Returns (J, controls): J(z) -> (value, gradient), infinite where S = 0,
+    and controls(z) -> (f, g*, u).
+    """
+    grid = problem.grid
+    n = grid.n
+    lo, hi = problem.start
+    free_start = hi > lo
+    w = grid.w
+    mask = np.zeros(n)
+    mask[: problem.node_index + 1] = 1.0
+    wm = w * mask
+    rho, rho_bar = problem.rho, problem.rho_bar
+    half_drift = 0.5 if problem.include_drift else 0.0
+    vol = problem.vol
+
+    def state(z):
+        f = z[:n]
+        u = float(z[n]) if free_start else lo
+        y = u * hom + A @ f
+        sig = vol.sigma_tilde(y)
+        S = float(wm @ (sig * sig))
+        a = float(wm @ (sig * (rho * f - half_drift * sig)))
+        return f, u, y, sig, S, a
+
+    def J(z):
+        f, u, y, sig, S, a = state(z)
+        if S <= 0.0:
+            return math.inf, np.zeros_like(z)
+        c = level - a
+        q = c / (rho_bar * rho_bar * S)
+        # d/dy of the g* energy: -q da/dy - (rho_bar q)^2 / 2 dS/dy
+        dy = -q * wm * vol.sigma_tilde_deriv(y) * (
+            rho * f - 2.0 * half_drift * sig + q * rho_bar * rho_bar * sig)
+        grad = np.empty_like(z)
+        grad[:n] = w * f - q * rho * wm * sig + A.T @ dy
+        if free_start:
+            grad[n] = float(dy @ hom)
+        return 0.5 * float(w @ (f * f)) + 0.5 * q * c, grad
+
+    def controls(z):
+        f, u, _, sig, S, a = state(z)
+        q = (level - a) / (rho_bar * rho_bar * S)
+        return f, q * rho_bar * sig * mask, u
+
+    return J, controls
+
+
 def _solve_equality(problem: VariationalProblem, level: float,
-                    feas_tol: float = 1e-6, max_outer: int = 25) -> RateResult:
+                    feas_tol: float = 1e-6) -> RateResult:
+    """Minimise the control energy subject to x_terminal = level.
+
+    Multistart L-BFGS-B on the reduced objective of `_reduced_objective`
+    (g eliminated in closed form; bounds on u only when the start is
+    free), one run per distinct (f0, u0) start. A start where S = 0 cannot
+    be evaluated and is skipped. Each run's (f, g*, u) is checked against
+    the constraint through `_terminal_and_grad`, and the feasible run of
+    least energy wins. `converged` needs L-BFGS-B to stop for another
+    reason than its iteration limit (status 1), and the least-squares KKT
+    residual of the full problem to be at most `KKT_TOL` times max(1, norm
+    of the energy gradient). Feasibility holds by construction, so it
+    cannot tell a converged run from a cut-off one.
+    """
     grid = problem.grid
     n = grid.n
     lo, hi = problem.start
@@ -186,66 +272,43 @@ def _solve_equality(problem: VariationalProblem, level: float,
         y, x = path_from_controls(problem, zero, start=lo)
         return RateResult(INFEASIBLE, zero, y, x, lo, False, 0, math.nan, level)
 
+    J, controls = _reduced_objective(problem, level, A, hom)
     ones = np.ones(n)
     scale = abs(level) if level != 0 else 1.0
-    starts = []
+    # the f parts of the full problem's five (f0, g0) starts, f0 = 0 once
+    f_seeds = (np.zeros(n), math.copysign(scale, level) * ones,
+               0.5 * scale * ones, -0.5 * scale * ones)
     u_seeds = [0.5 * (lo + hi)] if not free_start else [0.5 * (lo + hi), lo, hi]
-    for u0 in u_seeds:
-        starts.append((np.zeros(n), np.zeros(n), u0))
-        starts.append((np.zeros(n), math.copysign(scale, level) * ones, u0))
-        starts.append((math.copysign(scale, level) * ones, np.zeros(n), u0))
-        starts.append((0.5 * scale * ones, 0.5 * scale * ones, u0))
-        starts.append((-0.5 * scale * ones, math.copysign(scale, level) * ones, u0))
+    bounds = [(None, None)] * n + [(lo, hi)] if free_start else None
 
     best = None
     total_iters = 0
-    for si, (f0, g0, u0) in enumerate(starts):
-        z = np.concatenate([f0, g0, [u0]]) if free_start else np.concatenate([f0, g0])
-        bounds = None
-        if free_start:
-            bounds = [(None, None)] * (2 * n) + [(lo, hi)]
-        nu, mu = 0.0, 10.0
-        r_prev = math.inf
-        converged = False
-        for outer in range(max_outer):
-            res = minimize(
-                lambda zz: penalized_objective(problem, zz, nu, mu, level, free_start)[:2],
-                z,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12},
-            )
-            z = res.x
+    for u0 in u_seeds:
+        for f0 in f_seeds:
+            z0 = np.append(f0, u0) if free_start else f0
+            if J(z0)[0] == math.inf:
+                continue
+            res = minimize(J, z0, jac=True, method="L-BFGS-B", bounds=bounds,
+                           options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
             total_iters += res.nit
-            _, _, r = penalized_objective(problem, z, nu, mu, level, free_start)
-            if abs(r) <= 1e-9:
-                converged = True
-                break
-            nu += mu * r
-            if abs(r) > 0.25 * abs(r_prev):
-                mu *= 10.0
-            r_prev = r
-        f = z[:n]
-        g = z[n : 2 * n]
-        u = float(z[2 * n]) if free_start else lo
-        xT, gf, gg, gu = _terminal_and_grad(problem, A, hom, f, g, u)
-        r = xT - level
-        energy = 0.5 * float(w @ (f * f) + w @ (g * g))
-        # least-squares KKT multiplier for the reported stationarity residual
-        ge = np.concatenate([w * f, w * g])
-        gr = np.concatenate([gf, gg])
-        denom = float(gr @ gr)
-        lam = -float(ge @ gr) / denom if denom > 0 else 0.0
-        kkt = float(np.linalg.norm(ge + lam * gr))
-        cand = (energy, si, f, g, u, r, kkt, converged and abs(r) <= feas_tol)
-        if abs(r) <= feas_tol and (best is None or energy < best[0] - 1e-14):
-            best = cand
+            f, g, u = controls(res.x)
+            xT, gf, gg, gu = _terminal_and_grad(problem, A, hom, f, g, u)
+            r = xT - level
+            energy = 0.5 * float(w @ (f * f) + w @ (g * g))
+            # least-squares KKT multiplier for the reported stationarity residual
+            ge = np.concatenate([w * f, w * g])
+            gr = np.concatenate([gf, gg])
+            denom = float(gr @ gr)
+            lam = -float(ge @ gr) / denom if denom > 0 else 0.0
+            kkt = float(np.linalg.norm(ge + lam * gr))
+            ok = res.status != 1 and kkt <= KKT_TOL * max(1.0, float(np.linalg.norm(ge)))
+            if abs(r) <= feas_tol and (best is None or energy < best[0] - 1e-14):
+                best = (energy, f, g, u, kkt, ok)
     if best is None:
         zero = ControlVector(np.zeros(n), np.zeros(n))
         y, x = path_from_controls(problem, zero, start=lo)
         return RateResult(INFEASIBLE, zero, y, x, lo, False, total_iters, math.nan, level)
-    energy, _, f, g, u, r, kkt, ok = best
+    energy, f, g, u, kkt, ok = best
     cv = ControlVector(f, g)
     y, x = path_from_controls(problem, cv, start=u)
     return RateResult(energy, cv, y, x, u, ok, total_iters, kkt, level)
@@ -267,37 +330,27 @@ def _unconstrained_terminal(problem: VariationalProblem) -> float:
 def solve(problem: VariationalProblem) -> RateResult:
     """Minimize the control energy subject to the terminal constraint.
 
-    Equality constraints go straight to the augmented-Lagrangian solver.
+    Equality constraints go straight to `_solve_equality`, a multistart
+    L-BFGS-B on the energy with g eliminated in closed form.
     Inequality senses first check zero-control feasibility (value 0), then
     scan a geometric ladder of equality levels on the constraint side,
     keeping the smallest energy; the scan stops early once values increase
-    monotonically.
+    monotonically. A "<=" problem is the ">=" problem for -x.
     """
     if problem.sense == "=":
         return _solve_equality(problem, problem.level)
-    x0_vals = _unconstrained_terminal(problem)
-    if problem.sense == ">=":
-        if max(x0_vals) >= problem.level:
-            n = problem.grid.n
-            zero = ControlVector(np.zeros(n), np.zeros(n))
-            u = problem.start[0] if len(x0_vals) == 1 else float(
-                np.linspace(problem.start[0], problem.start[1], 9)[int(np.argmax(x0_vals))]
-            )
-            y, x = path_from_controls(problem, zero, start=u)
-            return RateResult(0.0, zero, y, x, u, True, 0, 0.0, problem.level)
-        levels = problem.level * np.geomspace(1.0, 4.0, 11) if problem.level > 0 else \
-            problem.level + np.linspace(0.0, 2.0 * abs(problem.level) + 1.0, 11)
-    else:
-        if min(x0_vals) <= problem.level:
-            n = problem.grid.n
-            zero = ControlVector(np.zeros(n), np.zeros(n))
-            u = problem.start[0] if len(x0_vals) == 1 else float(
-                np.linspace(problem.start[0], problem.start[1], 9)[int(np.argmin(x0_vals))]
-            )
-            y, x = path_from_controls(problem, zero, start=u)
-            return RateResult(0.0, zero, y, x, u, True, 0, 0.0, problem.level)
-        levels = problem.level * np.geomspace(1.0, 4.0, 11) if problem.level < 0 else \
-            problem.level - np.linspace(0.0, 2.0 * abs(problem.level) + 1.0, 11)
+    sgn = 1.0 if problem.sense == ">=" else -1.0
+    x0_vals = sgn * np.asarray(_unconstrained_terminal(problem))
+    if max(x0_vals) >= sgn * problem.level:
+        n = problem.grid.n
+        zero = ControlVector(np.zeros(n), np.zeros(n))
+        u = problem.start[0] if len(x0_vals) == 1 else float(
+            np.linspace(problem.start[0], problem.start[1], 9)[int(np.argmax(x0_vals))]
+        )
+        y, x = path_from_controls(problem, zero, start=u)
+        return RateResult(0.0, zero, y, x, u, True, 0, 0.0, problem.level)
+    levels = problem.level * np.geomspace(1.0, 4.0, 11) if sgn * problem.level > 0 else \
+        problem.level + sgn * np.linspace(0.0, 2.0 * abs(problem.level) + 1.0, 11)
     best = None
     increases = 0
     prev = None
@@ -324,6 +377,15 @@ def solve(problem: VariationalProblem) -> RateResult:
 # Brute-force oracle (tests only)
 # ---------------------------------------------------------------------------
 
+def _terminal_function(problem: VariationalProblem):
+    """(f, g, u) -> x at the constraint node, as `path_from_controls` gives
+    it, with the operator matrix and start factor set up once."""
+    A = operator_matrix(problem.kernel, problem.grid)
+    hom = problem.homogeneous_factor()
+    j = problem.node_index
+    return lambda f, g, u: _paths(problem, A, hom, f, g, u)[1][j]
+
+
 def brute_force_rate(problem: VariationalProblem, coarse_n: int = 6) -> float:
     """Independent global search on a coarse grid; used as a test oracle.
 
@@ -344,6 +406,8 @@ def brute_force_rate(problem: VariationalProblem, coarse_n: int = 6) -> float:
     free_start = hi > lo
     dim = 2 * n + (1 if free_start else 0)
     level = prob.level
+    w = grid.w
+    x_terminal = _terminal_function(prob)
 
     def assemble(z):
         f, g = z[:n], z[n : 2 * n]
@@ -351,13 +415,12 @@ def brute_force_rate(problem: VariationalProblem, coarse_n: int = 6) -> float:
         return f, g, u
 
     def terminal(z):
-        f, g, u = assemble(z)
-        _, x = path_from_controls(prob, ControlVector(f, g), start=u)
-        return x[prob.node_index]
+        return x_terminal(*assemble(z))
 
     def energy(z):
         f, g, _ = assemble(z)
-        return l2_energy(f, g, grid)
+        # l2_energy's arithmetic, without its checks
+        return 0.5 * float(w @ (f * f) + w @ (g * g))
 
     if prob.sense == ">=":
         viol = lambda z: max(0.0, level - terminal(z))
@@ -387,21 +450,19 @@ def brute_force_rate(problem: VariationalProblem, coarse_n: int = 6) -> float:
         for z in starts:
             z[2 * n] = rng.uniform(lo, hi)
 
-    from scipy.optimize import minimize as _min
-
     best = math.inf
     for z0 in starts:
         z = z0.copy()
         for mu, xt, ft in ((50.0, 1e-6, 1e-9), (5e3, 1e-9, 1e-12)):
             obj = lambda zz: energy(zz) + mu * viol(zz) ** 2
-            res = _min(obj, z, method="Powell", options={"maxiter": 20000, "xtol": xt, "ftol": ft})
+            res = minimize(obj, z, method="Powell", options={"maxiter": 20000, "xtol": xt, "ftol": ft})
             z = res.x
         e = energy(z)
         if e < best + 0.05:
             # worth polishing against a stiffer penalty
             for mu in (5e5, 5e7):
                 obj = lambda zz: energy(zz) + mu * viol(zz) ** 2
-                res = _min(obj, z, method="Powell", options={"maxiter": 20000, "xtol": 1e-12, "ftol": 1e-14})
+                res = minimize(obj, z, method="Powell", options={"maxiter": 20000, "xtol": 1e-12, "ftol": 1e-14})
                 z = res.x
             if viol(z) <= 1e-6:
                 best = min(best, energy(z))
@@ -411,10 +472,6 @@ def brute_force_rate(problem: VariationalProblem, coarse_n: int = 6) -> float:
 # ---------------------------------------------------------------------------
 # Named rate functions
 # ---------------------------------------------------------------------------
-
-def _tilde_vol(params: ModelParams) -> VolFunction:
-    return params.vol
-
 
 def tail_rate(params: ModelParams, y_level: float, b: float,
               include_drift: bool = True, grid: Optional[TimeGrid] = None) -> RateResult:
@@ -430,9 +487,29 @@ def tail_rate(params: ModelParams, y_level: float, b: float,
     kernel = KernelSpec(KernelKind.F_FOU, params.hurst, beta=params.beta,
                         xi=params.xi if params.xi > 0 else 1.0)
     prob = VariationalProblem(
-        kernel=kernel, vol=_tilde_vol(params), grid=grid, rho=params.rho,
+        kernel=kernel, vol=params.vol, grid=grid, rho=params.rho,
         include_drift=include_drift, start=(0.0, 0.0), level=y_level, sense=">=",
     )
+    return solve(prob)
+
+
+def _smalltime_solve(params: ModelParams, k_level: float, start: Tuple[float, float],
+                     grid: Optional[TimeGrid]) -> RateResult:
+    """Small-time problem at log-strike k from `start`: the pointwise kernel
+    limit, no drift, sense >= k for k > 0 and <= k for k < 0. At k = 0 the
+    zero controls are optimal and the rate is 0 from the lower start."""
+    grid = grid or TimeGrid.uniform(48)
+    kernel = KernelSpec(KernelKind.G_ZERO, params.hurst, xi=params.xi if params.xi > 0 else 1.0)
+    prob = VariationalProblem(
+        kernel=kernel, vol=params.vol, grid=grid, rho=params.rho,
+        include_drift=False, start=start, level=k_level,
+        sense=">=" if k_level > 0 else "<=",
+    )
+    if k_level == 0.0:
+        n = grid.n
+        zero = ControlVector(np.zeros(n), np.zeros(n))
+        y, x = path_from_controls(prob, zero)
+        return RateResult(0.0, zero, y, x, start[0], True, 0, 0.0, 0.0)
     return solve(prob)
 
 
@@ -444,23 +521,7 @@ def smalltime_rate(params: ModelParams, k_level: float, b: float,
         import warnings
 
         warnings.warn(f"small-time scaling needs b >= 1/2 - 2H, got {b}")
-    if k_level == 0.0:
-        grid = grid or TimeGrid.uniform(48)
-        n = grid.n
-        zero = ControlVector(np.zeros(n), np.zeros(n))
-        kernel = KernelSpec(KernelKind.G_ZERO, params.hurst, xi=params.xi if params.xi > 0 else 1.0)
-        prob = VariationalProblem(kernel=kernel, vol=_tilde_vol(params), grid=grid,
-                                  rho=params.rho, include_drift=False)
-        y, x = path_from_controls(prob, zero)
-        return RateResult(0.0, zero, y, x, 0.0, True, 0, 0.0, 0.0)
-    grid = grid or TimeGrid.uniform(48)
-    kernel = KernelSpec(KernelKind.G_ZERO, params.hurst, xi=params.xi if params.xi > 0 else 1.0)
-    prob = VariationalProblem(
-        kernel=kernel, vol=_tilde_vol(params), grid=grid, rho=params.rho,
-        include_drift=False, start=(0.0, 0.0), level=k_level,
-        sense=">=" if k_level > 0 else "<=",
-    )
-    return solve(prob)
+    return _smalltime_solve(params, k_level, (0.0, 0.0), grid)
 
 
 def rate_with_random_start(params: ModelParams, k_level: float,
@@ -471,18 +532,4 @@ def rate_with_random_start(params: ModelParams, k_level: float,
     lo, hi = support
     if lo > hi:
         raise DomainError("support needs lo <= hi")
-    grid = grid or TimeGrid.uniform(48)
-    kernel = KernelSpec(KernelKind.G_ZERO, params.hurst, xi=params.xi if params.xi > 0 else 1.0)
-    if k_level == 0.0:
-        n = grid.n
-        zero = ControlVector(np.zeros(n), np.zeros(n))
-        prob = VariationalProblem(kernel=kernel, vol=_tilde_vol(params), grid=grid,
-                                  rho=params.rho, include_drift=False, start=(lo, hi))
-        y, x = path_from_controls(prob, zero, start=lo)
-        return RateResult(0.0, zero, y, x, lo, True, 0, 0.0, 0.0)
-    prob = VariationalProblem(
-        kernel=kernel, vol=_tilde_vol(params), grid=grid, rho=params.rho,
-        include_drift=False, start=(lo, hi), level=k_level,
-        sense=">=" if k_level > 0 else "<=",
-    )
-    return solve(prob)
+    return _smalltime_solve(params, k_level, (lo, hi), grid)

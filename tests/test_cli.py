@@ -43,6 +43,16 @@ class TestValidation:
         p = write_config(tmp_path, {"command": "simulate", "model": {"gamma": 2.0}})
         assert run(p, out=str(tmp_path / "o")) == EXIT_CONFIG
 
+    def test_solver_block_rejected(self, tmp_path):
+        # the schema once accepted solver tuning that nothing read
+        p = write_config(tmp_path, {
+            "command": "rate", "rate": {"kind": "smalltime", "level": 1.0, "b": 1.0},
+            "solver": {"feas_tol": 1e-6, "max_outer": 25},
+        })
+        out = tmp_path / "o"
+        assert run(p, out=str(out)) == EXIT_CONFIG
+        assert not (out / "rate.csv").exists()
+
     def test_bad_command(self, tmp_path):
         p = write_config(tmp_path, {"command": "frobnicate"})
         assert run(p, out=str(tmp_path / "o")) == EXIT_CONFIG

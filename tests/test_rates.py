@@ -13,6 +13,7 @@ from fracldp import (
     ModelParams,
     TimeGrid,
     VariationalProblem,
+    affine_abs_vol,
     brute_force_rate,
     constant_vol,
     l2_energy,
@@ -24,6 +25,8 @@ from fracldp import (
     solve,
     tail_rate,
 )
+from fracldp import rates
+from fracldp.kernels import operator_matrix
 
 H_HALF = HurstParams(0.5)
 
@@ -107,6 +110,118 @@ class TestSolve:
         res = solve(identity_problem(level=0.0))
         assert res.value == pytest.approx(0.0, abs=1e-10)
 
+    def test_schilder_exact(self):
+        # sigma == 1, rho = 0: g* = 1 is reached from f = 0 in closed form
+        res = solve(identity_problem(n=32, level=1.0))
+        assert res.converged
+        assert abs(res.value - 0.5) <= 1e-10
+
+    def test_not_converged_when_cut_off(self, monkeypatch):
+        p = VariationalProblem(
+            kernel=KernelSpec(KernelKind.G_ZERO, HurstParams(0.3), xi=1.0),
+            vol=linear_vol(), grid=TimeGrid.uniform(12), rho=0.3,
+            include_drift=True, level=0.8, sense="=",
+        )
+        assert solve(p).converged
+        full = rates.minimize
+
+        def one_iteration(*args, **kwargs):
+            kwargs["options"] = dict(kwargs.get("options") or {}, maxiter=1)
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "minimize", one_iteration)
+        res = solve(p)
+        assert math.isfinite(res.value)
+        assert not res.converged
+
+    def test_not_converged_on_iteration_limit_status(self, monkeypatch):
+        # a run stopped by its iteration limit does not count as converged,
+        # however small its KKT residual
+        full = rates.minimize
+
+        def limit_reported(*args, **kwargs):
+            res = full(*args, **kwargs)
+            res.status = 1
+            return res
+
+        monkeypatch.setattr(rates, "minimize", limit_reported)
+        res = solve(identity_problem(level=0.7))
+        assert res.kkt_residual <= 1e-8
+        assert not res.converged
+
+
+def reduced_case(free_start, drift, node=None):
+    """rho != 0 problem whose start factor varies in t (mean-reverting kernel)."""
+    return VariationalProblem(
+        kernel=KernelSpec(KernelKind.F_FOU, HurstParams(0.3), beta=-1.2, xi=1.0),
+        vol=linear_vol(), grid=TimeGrid.uniform(12), rho=0.3,
+        include_drift=drift, start=(0.1, 0.4) if free_start else (0.2, 0.2),
+        level=0.8, sense="=", constraint_node=node,
+    )
+
+
+def reduced_setup(p):
+    A = operator_matrix(p.kernel, p.grid)
+    return rates._reduced_objective(p, p.level, A, p.homogeneous_factor())
+
+
+def random_z(p, rng):
+    f = rng.standard_normal(p.grid.n)
+    lo, hi = p.start
+    return np.append(f, rng.uniform(lo, hi)) if hi > lo else f
+
+
+REDUCED_CASES = [(fs, d) for fs in (False, True) for d in (False, True)]
+
+
+class TestReducedObjective:
+    """The energy with g eliminated in closed form, which `solve` minimises."""
+
+    @pytest.mark.parametrize("free_start,drift", REDUCED_CASES)
+    def test_gradient_matches_central_differences(self, free_start, drift):
+        p = reduced_case(free_start, drift)
+        J, _ = reduced_setup(p)
+        rng = np.random.default_rng(31)
+        h = 1e-6
+        for _ in range(10):
+            z = random_z(p, rng)
+            _, grad = J(z)
+            num = np.empty_like(grad)
+            for i in range(z.size):
+                zp, zm = z.copy(), z.copy()
+                zp[i] += h
+                zm[i] -= h
+                num[i] = (J(zp)[0] - J(zm)[0]) / (2 * h)
+            rel = np.linalg.norm(grad - num) / max(np.linalg.norm(num), 1e-12)
+            assert rel <= 1e-6
+
+    @pytest.mark.parametrize("node", [None, 7])
+    @pytest.mark.parametrize("free_start,drift", REDUCED_CASES)
+    def test_optimal_g_meets_the_constraint(self, free_start, drift, node):
+        p = reduced_case(free_start, drift, node)
+        J, controls = reduced_setup(p)
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            z = random_z(p, rng)
+            f, g, u = controls(z)
+            assert np.all(g[p.node_index + 1:] == 0.0)
+            _, x = path_from_controls(p, ControlVector(f, g), start=u)
+            assert abs(x[p.node_index] - p.level) <= 1e-12
+            # J is the energy of (f, g*)
+            assert J(z)[0] == pytest.approx(l2_energy(f, g, p.grid), rel=1e-12)
+
+    def test_zero_vol_start_is_not_evaluable(self):
+        # sigma_tilde = |y| vanishes on the zero path from start 0
+        p = VariationalProblem(
+            kernel=KernelSpec(KernelKind.G_ZERO, HurstParams(0.3), xi=1.0),
+            vol=affine_abs_vol(0.1, 1.0), grid=TimeGrid.uniform(12), rho=-0.5,
+            level=0.3, sense="=",
+        )
+        J, _ = reduced_setup(p)
+        assert J(np.zeros(p.grid.n))[0] == math.inf
+        res = solve(p)
+        assert res.converged and math.isfinite(res.value)
+
 
 @pytest.mark.slow
 class TestBruteForceOracle:
@@ -128,6 +243,20 @@ class TestBruteForceOracle:
         ref = brute_force_rate(p, coarse_n=6)
         res = solve(p)
         assert abs(res.value - ref) <= 1e-3
+
+
+class TestOracleTerminal:
+    @pytest.mark.parametrize("free_start,drift", REDUCED_CASES)
+    def test_matches_path_from_controls_bitwise(self, free_start, drift):
+        p = reduced_case(free_start, drift, node=9)
+        x_terminal = rates._terminal_function(p)
+        rng = np.random.default_rng(33)
+        n = p.grid.n
+        for _ in range(50):
+            f, g = rng.standard_normal(n), rng.standard_normal(n)
+            u = rng.uniform(*p.start) if free_start else p.start[0]
+            _, x = path_from_controls(p, ControlVector(f, g), start=u)
+            assert x_terminal(f, g, u) == x[p.node_index]
 
 
 class TestProperties:
