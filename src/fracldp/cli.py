@@ -74,7 +74,6 @@ CONFIG_SCHEMA = {
         "command": {"enum": ["kernels", "simulate", "rate", "smile", "verify"]},
         "seed": {"type": "integer", "minimum": 0},
         "output_dir": {"type": "string"},
-        "threads": _POSINT,
         "grid": {
             "type": "object",
             "additionalProperties": False,
@@ -189,7 +188,6 @@ CONFIG_SCHEMA = {
 DEFAULTS = {
     "seed": 0,
     "output_dir": "out",
-    "threads": 1,
     "grid": {"n": 48},
     "model": {
         "lam": 0.0,
@@ -487,7 +485,7 @@ def _cmd_verify(cfg: dict, outdir: str) -> int:
 # driver
 # --------------------------------------------------------------------------
 
-def run(config_path: str, overrides=(), seed=None, threads=None, out=None) -> int:
+def run(config_path: str, overrides=(), seed=None, out=None) -> int:
     try:
         with open(config_path) as fh:
             raw = json.load(fh)
@@ -508,8 +506,6 @@ def run(config_path: str, overrides=(), seed=None, threads=None, out=None) -> in
             seed = int(os.environ[SEED_ENV_VAR])
         if seed is not None:
             raw["seed"] = int(seed)
-        if threads is not None:
-            raw["threads"] = int(threads)
         if out is not None:
             raw["output_dir"] = out
         validate_config(raw)
@@ -517,9 +513,6 @@ def run(config_path: str, overrides=(), seed=None, threads=None, out=None) -> in
     except (ConfigError, ValueError) as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return EXIT_CONFIG
-
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(cfg["threads"]))
 
     outdir = cfg["output_dir"]
     try:
@@ -572,16 +565,11 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="path to JSON run config")
     ap.add_argument("--seed", type=int, default=None,
                     help=f"seed override (beats ${SEED_ENV_VAR})")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="exported as OMP/OPENBLAS/MKL_NUM_THREADS when unset; numpy has "
-                         "already loaded its BLAS by then, so it does not cap BLAS threads, "
-                         "and it does not size the simulation's thread pool")
     ap.add_argument("--out", default=None, help="output directory override")
     ap.add_argument("--override", action="append", default=[],
                     metavar="KEY=VALUE", help="dotted-path config override, repeatable")
     args = ap.parse_args(argv)
-    return run(args.config, overrides=args.override, seed=args.seed,
-               threads=args.threads, out=args.out)
+    return run(args.config, overrides=args.override, seed=args.seed, out=args.out)
 
 
 if __name__ == "__main__":

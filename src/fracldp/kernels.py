@@ -12,9 +12,11 @@ Closed forms are used wherever they exist:
     (Decreusefond & Ustunel 1999), and its Gram matrix is xi^2 times the
     fBm covariance.
 Tanh-sinh quadrature remains for the kernel with beta != 0 (an integral
-over (s, t) with an endpoint power singularity, removed by substitution)
-and for the panel integrals of operator_matrix and the beta != 0 Gram
-matrix.
+over (s, t) with an endpoint power singularity, removed by substitution),
+for the two panels of each operator_matrix row that touch a singularity of
+the kernel (s -> 0 and s -> t), and for the beta != 0 Gram matrix. The
+interior panels of operator_matrix, where the kernel is smooth, use a
+16-point Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma
-from scipy.special import hyp2f1
+from scipy.special import hyp2f1, roots_legendre
 
 
 class DomainError(ValueError):
@@ -201,7 +203,8 @@ def fbm_covariance_matrix(H: float, grid: TimeGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh quadrature with combined endpoint power weight
+# Quadrature rules: tanh-sinh for endpoint singularities, Gauss-Legendre for
+# smooth integrands
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -222,6 +225,14 @@ def _tanh_sinh_rule(h: float, n: int):
     jac = h * math.pi * np.cosh(x) * q * qc
     keep = (q > 1e-280) & (qc > 1e-280) & (jac > 0)
     return q[keep], qc[keep], jac[keep]
+
+
+@lru_cache(maxsize=4)
+def _gauss_legendre_rule(n: int):
+    """Nodes in (0,1) and weights of the n-point Gauss-Legendre rule for
+    int_0^1 f(q) dq; exact for polynomials of degree < 2n."""
+    x, w = roots_legendre(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _singular_integral(s, t, gamma_exp, g, h=0.06, n=64):
@@ -333,8 +344,11 @@ def _cache_key(tag: str, spec: KernelSpec, grid: TimeGrid):
 def operator_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Matrix A with A[i, j] = int over panel j of Phi(t_i, s) ds (j <= i).
 
-    apply_operator is then A @ f for panelwise-constant controls f. Panels
-    touching the singular endpoints are integrated with the tanh-sinh rule.
+    apply_operator is then A @ f for panelwise-constant controls f. Row i
+    integrates panel 0 (s -> 0, the s^{-(H-1/2)} factor) and the diagonal
+    panel i (s -> t_i) with the tanh-sinh rule, and the smooth panels
+    1..i-1 with a 16-point Gauss-Legendre rule; all nodes of a row go
+    through one eval_kernel_batch call.
     """
     key = _cache_key("op", spec, grid)
     if key in _matrix_cache:
@@ -348,17 +362,24 @@ def operator_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
             A[i, : i + 1] = np.diff(edges[: i + 2])
         _matrix_cache[key] = A
         return A
-    q, qc, jac = _tanh_sinh_rule(0.06, 64)
+    q, _, jac = _tanh_sinh_rule(0.06, 64)
+    x, wx = _gauss_legendre_rule(16)
     for i in range(n):
         ti = t[i]
         lo = edges[: i + 1]
-        hi = edges[1 : i + 2]
-        span = (hi - lo)[:, None]
-        s_nodes = lo[:, None] + span * q[None, :]
+        span = edges[1 : i + 2] - lo
+        # panel 0 (s -> 0) and the diagonal panel i (s -> ti) hold the kernel's
+        # singularities; every panel between them is smooth
+        sing = [0, i] if i else [0]
+        s_sing = lo[sing, None] + span[sing, None] * q[None, :]
         # keep strictly inside (0, ti)
-        s_nodes = np.clip(s_nodes, 1e-300, ti * (1.0 - 1e-15))
-        vals = eval_kernel_batch(spec, np.full_like(s_nodes, ti), s_nodes)
-        A[i, : i + 1] = np.sum(span * jac[None, :] * vals, axis=1)
+        s_sing = np.clip(s_sing, 1e-300, ti * (1.0 - 1e-15))
+        s_mid = lo[1:i, None] + span[1:i, None] * x[None, :]
+        vals = eval_kernel_batch(spec, ti, np.concatenate([s_sing.ravel(), s_mid.ravel()]))
+        v_sing = vals[: s_sing.size].reshape(s_sing.shape)
+        v_mid = vals[s_sing.size :].reshape(s_mid.shape)
+        A[i, sing] = np.sum(span[sing, None] * jac[None, :] * v_sing, axis=1)
+        A[i, 1:i] = np.sum(span[1:i, None] * wx[None, :] * v_mid, axis=1)
     _matrix_cache[key] = A
     return A
 

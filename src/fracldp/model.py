@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import norm
+from scipy.special import log_ndtr, logsumexp, ndtr
 
 from .kernels import (
     DomainError,
@@ -246,17 +245,17 @@ class InitialLaw:
         if self.kind is LawKind.GAUSSIAN:
             sd = math.sqrt(self.var)
             return float(logsumexp([
-                norm.logsf((x - self.mean) / sd),
-                norm.logsf((x + self.mean) / sd),
+                log_ndtr((self.mean - x) / sd),
+                log_ndtr(-(x + self.mean) / sd),
             ]))
         if self.kind is LawKind.TRUNC_GAUSSIAN:
             lo, hi = self.support()
             if x >= max(abs(lo), abs(hi)):
                 return -math.inf
             sd = math.sqrt(self.var)
-            z = norm.cdf(self.radius) - norm.cdf(-self.radius)
-            hi_mass = max(0.0, norm.cdf((hi - self.mean) / sd) - norm.cdf((max(x, lo) - self.mean) / sd))
-            lo_mass = max(0.0, norm.cdf((min(-x, hi) - self.mean) / sd) - norm.cdf((lo - self.mean) / sd))
+            z = ndtr(self.radius) - ndtr(-self.radius)
+            hi_mass = max(0.0, ndtr((hi - self.mean) / sd) - ndtr((max(x, lo) - self.mean) / sd))
+            lo_mass = max(0.0, ndtr((min(-x, hi) - self.mean) / sd) - ndtr((lo - self.mean) / sd))
             p = (hi_mass + lo_mass) / z
             return math.log(p) if p > 0 else -math.inf
         raise DomainError("resolve ForwardSteinStein before tail evaluation")

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .kernels import DomainError, TimeGrid
 from .model import (
@@ -102,7 +102,7 @@ def bs_call_price(forward: float, strike: float, maturity: float, vol: float) ->
         return max(forward - strike, 0.0)
     st = vol * math.sqrt(maturity)
     d1 = (math.log(forward / strike) + 0.5 * st * st) / st
-    return forward * norm.cdf(d1) - strike * norm.cdf(d1 - st)
+    return forward * ndtr(d1) - strike * ndtr(d1 - st)
 
 
 def bs_implied_vol(price: float, forward: float, strike: float, maturity: float) -> float:
@@ -175,7 +175,7 @@ def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: i
         for k in strikes:
             strike = math.exp(k)
             d1 = (-k + 0.5 * V) / sv
-            cond = norm.cdf(d1) - strike * norm.cdf(d1 - sv)
+            cond = ndtr(d1) - strike * ndtr(d1 - sv)
             price = float(np.mean(cond))
             if price <= max(1.0 - strike, 0.0) or price >= 1.0:
                 out.append(SmilePoint(k=k, implied_vol=0.0, std_err=math.nan, price=price, censored=True))

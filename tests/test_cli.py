@@ -2,9 +2,12 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fracldp
 from fracldp import (
     HurstParams,
     ModelParams,
@@ -19,6 +22,7 @@ from fracldp.cli import (
     EXIT_IO,
     EXIT_NOCONV,
     EXIT_OK,
+    main,
     run,
 )
 
@@ -53,6 +57,22 @@ class TestValidation:
         assert run(p, out=str(out)) == EXIT_CONFIG
         assert not (out / "rate.csv").exists()
 
+    def test_threads_key_rejected(self, tmp_path):
+        # the schema once accepted a BLAS thread count it could not apply
+        p = write_config(tmp_path, {
+            "command": "rate", "rate": {"kind": "smalltime", "level": 1.0, "b": 1.0},
+            "threads": 1,
+        })
+        out = tmp_path / "o"
+        assert run(p, out=str(out)) == EXIT_CONFIG
+        assert not (out / "rate.csv").exists()
+
+    def test_threads_flag_removed(self, tmp_path):
+        p = write_config(tmp_path, {"command": "verify"})
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", p, "--out", str(tmp_path / "o"), "--threads", "1"])
+        assert exc.value.code == 2
+
     def test_bad_command(self, tmp_path):
         p = write_config(tmp_path, {"command": "frobnicate"})
         assert run(p, out=str(tmp_path / "o")) == EXIT_CONFIG
@@ -72,6 +92,17 @@ class TestValidation:
             "model": {"beta": 1.0},
         })
         assert run(p, out=str(tmp_path / "o")) == EXIT_CONFIG
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about 0.6 s and 20 MB to start-up; the package uses
+    # only scipy.special's normal distribution functions
+    src = os.path.dirname(os.path.dirname(fracldp.__file__))
+    code = "import sys, fracldp, fracldp.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestKernelsCommand:
@@ -134,7 +165,7 @@ class TestSimulateCommand:
         m = json.loads((out / "run_manifest.json").read_text())
         # defaults filled in; rerunning from the manifest reproduces the run
         assert m["config"]["model"]["beta"] == -1.0
-        assert m["config"]["threads"] == 1
+        assert "threads" not in m["config"]
         p2 = write_config(tmp_path, m["config"], name="from_manifest.json")
         run(p2, out=str(tmp_path / "o2"))
         assert (out / "simulate.csv").read_bytes() == \

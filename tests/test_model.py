@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from fracldp import (
@@ -94,6 +95,24 @@ class TestInitialLaw:
         law = gaussian_law(0.0, 4.0)
         # P(|N(0,4)| > 3) = 2 Phi_bar(1.5)
         assert law.log_tail(3.0) == pytest.approx(math.log(2 * norm.sf(1.5)), rel=1e-12)
+
+    def test_gaussian_tails_match_scipy_stats(self):
+        # the scipy.stats.norm expressions that log_tail computes with
+        # scipy.special, which scipy.stats calls itself: equal to the bit
+        law = gaussian_law(0.3, 2.0)
+        sd = math.sqrt(law.var)
+        for x in (0.1, 1.0, 3.0, 12.0):
+            ref = float(logsumexp([norm.logsf((x - law.mean) / sd),
+                                   norm.logsf((x + law.mean) / sd)]))
+            assert law.log_tail(x) == ref
+        law = InitialLaw(kind=LawKind.TRUNC_GAUSSIAN, mean=0.2, var=1.5, radius=2.5)
+        sd = math.sqrt(law.var)
+        lo, hi = law.support()
+        for x in (0.1, 0.5, 1.5, 3.0):
+            z = norm.cdf(law.radius) - norm.cdf(-law.radius)
+            hi_mass = max(0.0, norm.cdf((hi - law.mean) / sd) - norm.cdf((max(x, lo) - law.mean) / sd))
+            lo_mass = max(0.0, norm.cdf((min(-x, hi) - law.mean) / sd) - norm.cdf((lo - law.mean) / sd))
+            assert law.log_tail(x) == math.log((hi_mass + lo_mass) / z)
 
     def test_trunc_gaussian_bounded(self):
         law = InitialLaw(kind=LawKind.TRUNC_GAUSSIAN, mean=0.0, var=1.0, radius=2.0)

@@ -110,6 +110,15 @@ class TestBlackScholes:
         assert price == pytest.approx(2 * norm.cdf(0.1) - 1.0, abs=1e-14)
         assert bs_implied_vol(price, 1.0, 1.0, 1.0) == pytest.approx(0.2, abs=1e-10)
 
+    def test_price_matches_scipy_stats(self):
+        # bs_call_price uses scipy.special.ndtr, which norm.cdf calls itself
+        for forward, strike, t, vol in [(1.0, 1.0, 1.0, 0.2), (1.0, 0.8, 0.25, 0.5),
+                                        (1.3, 1.0, 2.0, 0.05), (1.0, 2.5, 0.1, 1.5)]:
+            st = vol * math.sqrt(t)
+            d1 = (math.log(forward / strike) + 0.5 * st * st) / st
+            ref = forward * norm.cdf(d1) - strike * norm.cdf(d1 - st)
+            assert bs_call_price(forward, strike, t, vol) == ref
+
     def test_roundtrip_random(self):
         # moderate strikes and maturities keep the vega well away from zero
         rng = np.random.default_rng(123)
