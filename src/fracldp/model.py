@@ -27,7 +27,7 @@ from .kernels import (
     gram_matrix,
     operator_matrix,
 )
-from .paths import GaussianPathBatch, _stable_cholesky, fbm_covariance, make_rng
+from .paths import GaussianPathBatch, _by_parts_matrix, _stable_cholesky, fbm_covariance, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -426,30 +426,27 @@ except AttributeError:  # no CPU affinity on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _joint_bm_fbm_covariance(H: float, t: np.ndarray) -> np.ndarray:
-    """Covariance of (B_{t_1..t_n}, W^H_{t_1..t_n}) where B is the
-    Volterra-generating Brownian motion of W^H."""
-    n = t.size
-    C = np.empty((2 * n, 2 * n))
-    C[:n, :n] = np.minimum.outer(t, t)
-    C[n:, n:] = fbm_covariance(H, t[:, None], t[None, :])
-    # Cov(B_ti, W^H_tj) = int_0^min(ti,tj) K^H(tj, u) du = sum over the panels
-    # k <= min(i, j) of the K^H operator matrix A[j, k]
-    grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(np.concatenate([[0.0], t]))))
-    A = np.cumsum(operator_matrix(KernelSpec(KernelKind.K_FBM, HurstParams(H)), grid), axis=1)
-    idx = np.arange(n)
-    cross = A[idx[None, :], np.minimum.outer(idx, idx)]
-    C[:n, n:] = cross
-    C[n:, :n] = cross.T
-    return C
+def _joint_bm_fbm_cholesky(H: float, t: np.ndarray, rho: float):
+    """Lower-triangular factor L of the joint law of (Wbar, W^H) at
+    t_1..t_n, Wbar first: Z @ L.T has that law for standard normal rows Z.
 
-
-def _joint_bm_fbm_cholesky(H: float, t: np.ndarray):
-    """Cholesky factor of the joint law of (B_{t_1..t_n}, W^H_{t_1..t_n})."""
-    key = (H, tuple(t))
+    Wbar = rho B + rho_bar B' is the Euler driver, B the Volterra-generating
+    Brownian motion of W^H and B' an independent one. Wbar's increment over
+    panel k is sqrt(dt_k) Z_k. Cov(W^H_tj, dB_k) is the K^H operator matrix
+    A[j, k], so W^H = U Z_{:n} + L22 Z_{n:} with U = rho A diag(dt)^{-1/2}
+    and L22 the Cholesky factor of C_fBm - U U^T.
+    """
+    key = (H, tuple(t), rho)
     if key in _joint_chol_cache:
         return _joint_chol_cache[key]
-    L = _stable_cholesky(_joint_bm_fbm_covariance(H, t))
+    n = t.size
+    dt = np.diff(t, prepend=0.0)
+    grid = TimeGrid(nodes=tuple(t), weights=tuple(dt))
+    U = rho * operator_matrix(KernelSpec(KernelKind.K_FBM, HurstParams(H)), grid) / np.sqrt(dt)
+    L = np.zeros((2 * n, 2 * n))
+    L[:n, :n] = np.tril(np.broadcast_to(np.sqrt(dt), (n, n)))
+    L[n:, :n] = U
+    L[n:, n:] = _stable_cholesky(fbm_covariance(H, t[:, None], t[None, :]) - U @ U.T)
     _joint_chol_cache[key] = L
     return L
 
@@ -468,11 +465,12 @@ def simulate(
     """Simulate the rescaled pair (X^eps, Y^eps) on the grid.
 
     Y^eps is exact in law at the grid nodes. X^eps is Euler-Maruyama against
-    the jointly sampled Brownian increments, with correlation rho to the
-    noise driving the volatility. For H = 1/2 the volatility integral uses
-    the exact per-panel OU recursion; for H != 1/2 the pair (B, W^H) is drawn
-    jointly from the Volterra coupling on an internal fine grid and the fOU
-    integral evaluated by the integration-by-parts identity there.
+    the increments of Wbar = rho B + rho_bar B', where B drives the
+    volatility. For H = 1/2 the volatility integral uses the exact per-panel
+    OU recursion; for H != 1/2 the pair (Wbar, W^H) is drawn jointly on an
+    internal fine grid of m nodes, from 2m standard normals per path whose
+    first m drive Wbar, and the fOU integral is evaluated by the
+    integration-by-parts identity there.
     Returns (x_batch, y_batch) as GaussianPathBatch objects.
     """
     if grid.n < 16 and not allow_coarse:
@@ -539,40 +537,22 @@ def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     return x, y
 
 
-def _linear_map(L: np.ndarray, t_fine: np.ndarray, beta_eff: float,
-                noise_scale: float) -> np.ndarray:
-    """The (2m, 2m) matrix M such that Z @ M.T = [dB, noise_scale * Z^fOU]
-    on the fine grid t_fine, where Z @ L.T = [B, W^H].
-
-    dB is the first difference of B (B_0 = 0). The fOU integral by parts,
-    Z^fOU_t = W^H_t + beta_eff int_0^t W^H_u e^{beta_eff (t-u)} du, is the
-    cumulative trapezoid of W^H e^{-beta_eff u} (W^H linear from W^H_0 = 0
-    on the first panel) scaled by e^{beta_eff t}, so Z^fOU = F W^H with
-    F = I + diag(beta_eff e^{beta_eff t}) W_trap diag(e^{-beta_eff t}).
-    """
-    m = t_fine.size
-    half = 0.5 * np.diff(t_fine, prepend=0.0)
-    # row k: panel k adds half its width times its two end values; row j of
-    # W_trap sums panels 0..j
-    W_trap = np.cumsum(np.diag(half) + np.diag(half[1:], k=-1), axis=0)
-    F = np.eye(m) + (beta_eff * np.exp(beta_eff * t_fine))[:, None] * W_trap \
-        * np.exp(-beta_eff * t_fine)
-    return np.vstack([np.diff(L[:m], axis=0, prepend=0.0), noise_scale * (F @ L[m:])])
-
-
 def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
                       lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol, n_fine):
     """Fine-grid simulation for H != 1/2.
 
     Paths are simulated in blocks of _ROW_BLOCK rows (the last block is
-    shorter). Block b draws its correlated normals Z (rows, 2m) and then its
-    independent increments (rows, m) from the b-th child stream spawned from
-    `rng` after Theta, so the block size is part of the random-number
-    layout and the paths are a function of the seed and n_paths only. One
-    GEMM with _linear_map's matrix gives each block's dB and Y noise; the
-    Euler X recursion and the gather at coarse nodes follow. Blocks write
-    disjoint rows and run on up to _WORKERS threads (numpy's RNG fill, BLAS
-    and ufuncs release the GIL); the worker count does not change the
+    shorter). Block b draws one array of standard normals Z (rows, 2m) from
+    the b-th child stream spawned from `rng` after Theta, so the block size
+    is part of the random-number layout and the paths are a function of the
+    seed and n_paths only. Through the factor of _joint_bm_fbm_cholesky, the
+    first m columns of Z give the Euler driver's increments
+    dWbar_k = sqrt(dt_k) Z_k, and one GEMM of Z with
+    noise_scale * F [U, L22] (F the by-parts fOU map) gives the Y noise;
+    U = 0 when rho = 0, and then only the last m columns enter the GEMM.
+    The Euler X recursion and the gather at coarse nodes follow. Blocks
+    write disjoint rows and run on up to _WORKERS threads (numpy's RNG fill,
+    BLAS and ufuncs release the GIL); the worker count does not change the
     result. A Tabulated vol's user callables therefore run on worker
     threads, concurrently.
     """
@@ -581,12 +561,11 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     T = t_coarse[-1]
     t_fine = np.unique(np.concatenate([np.linspace(0.0, T, n_fine + 1)[1:], t_coarse]))
     m = t_fine.size
-    M = _linear_map(_joint_bm_fbm_cholesky(H, t_fine), t_fine, beta_eff, noise_scale)
-    # fold the X noise coefficient of dB into M, and drop dB when it is unused
-    M[:m] *= xnoise_coef * params.rho
-    MT = (M if params.rho else M[m:]).T
+    L = _joint_bm_fbm_cholesky(H, t_fine, params.rho)
+    first = 0 if params.rho else m
+    MT = (noise_scale * _by_parts_matrix(t_fine, beta_eff) @ L[m:, first:]).T
     dtf = np.diff(t_fine, prepend=0.0)
-    dbp_coef = xnoise_coef * params.rho_bar * np.sqrt(dtf)
+    dw_coef = xnoise_coef * np.sqrt(dtf)
     drift = drift_coef * dtf
     # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
     ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
@@ -601,19 +580,17 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     def run_block(b):
         lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
         Z = streams[b].standard_normal((hi - lo, 2 * m))
-        dw = streams[b].standard_normal((hi - lo, m))
-        N = Z @ MT
         yb = theta[lo:hi, None] * y_start + y_lam
-        yb[:, 1:] += N[:, -m:]
-        # Euler X on the fine grid using left-endpoint vol
+        yb[:, 1:] += Z[:, first:] @ MT
+        # Euler X on the fine grid using left-endpoint vol, in place over
+        # the Wbar columns of Z
         sv = svol(yb[:, :-1])
-        dw *= dbp_coef
-        if params.rho:
-            dw += N[:, :m]
-        dw += drift * sv
-        dw *= sv
-        np.cumsum(dw, axis=1, out=dw)
-        x[lo:hi] = dw[:, gather]
+        dx = Z[:, :m]
+        dx *= dw_coef
+        dx += drift * sv
+        dx *= sv
+        np.cumsum(dx, axis=1, out=dx)
+        x[lo:hi] = dx[:, gather]
         y[lo:hi] = yb[:, gather + 1]
 
     workers = min(nb, _WORKERS)

@@ -146,19 +146,25 @@ def sample_fou(
     )
 
 
+def _by_parts_matrix(t: np.ndarray, beta: float) -> np.ndarray:
+    """The (n, n) matrix F with Z^fOU = F W^H at the nodes t, for the fOU
+    integral by parts with unit xi,
+        Z^fOU_t = W^H_t + beta int_0^t W^H_u e^{beta (t-u)} du.
+    The integral is the cumulative trapezoid of W^H e^{-beta u} (W^H linear
+    from W^H_0 = 0 on the first panel) scaled by e^{beta t}, so
+    F = I + diag(beta e^{beta t}) W_trap diag(e^{-beta t}).
+    """
+    half = 0.5 * np.diff(t, prepend=0.0)
+    # row k: panel k adds half its width times its two end values; row j of
+    # W_trap sums panels 0..j
+    W_trap = np.cumsum(np.diag(half) + np.diag(half[1:], k=-1), axis=0)
+    return np.eye(t.size) + (beta * np.exp(beta * t))[:, None] * W_trap * np.exp(-beta * t)
+
+
 def _product_rule_paths(H, beta, xi, grid, n_paths, rng, n_fine: int = 256):
     # fine grid containing the target nodes; trapezoid bias is O(dt^{2H+1})
     t_coarse = grid.t
     t_fine = np.unique(np.concatenate([np.linspace(0.0, t_coarse[-1], n_fine + 1)[1:], t_coarse]))
-    fine = TimeGrid(nodes=tuple(t_fine), weights=tuple(np.diff(np.concatenate([[0.0], t_fine]))))
+    fine = TimeGrid(nodes=tuple(t_fine), weights=tuple(np.diff(t_fine, prepend=0.0)))
     W = sample_fbm(H, fine, n_paths, rng).values
-    idx = np.searchsorted(t_fine, t_coarse)
-    out = np.empty((n_paths, grid.n))
-    for j, (tj, ij) in enumerate(zip(t_coarse, idx)):
-        tt = t_fine[: ij + 1]
-        ww = W[:, : ij + 1]
-        integ = np.trapezoid(ww * np.exp(beta * (tj - tt))[None, :], tt, axis=1)
-        # (0, t_fine[0]) panel, with W linear from W_0 = 0
-        integ += 0.5 * t_fine[0] * W[:, 0] * np.exp(beta * tj)
-        out[:, j] = xi * (W[:, ij] + beta * integ)
-    return out
+    return W @ (xi * _by_parts_matrix(t_fine, beta)[np.searchsorted(t_fine, t_coarse)]).T

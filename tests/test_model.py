@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -32,7 +33,8 @@ from fracldp import (
     uniform_law,
 )
 from fracldp import model
-from fracldp.kernels import _tanh_sinh_rule, eval_kernel_batch
+from fracldp.kernels import _tanh_sinh_rule, eval_kernel_batch, fbm_covariance, operator_matrix
+from fracldp.paths import _by_parts_matrix
 
 
 class TestVolFunction:
@@ -248,14 +250,34 @@ class TestSimulate:
         assert np.all(np.abs(emp - scale * ref) <= band)
 
 
-def _stepwise_linear_map(L, Z, t_fine, beta_eff, noise_scale):
-    """(dB, noise_scale * Z^fOU) from the normals Z step by step: the GEMM
-    with L, the difference of B and the cumulative trapezoid of the fOU
-    integral by parts. This is the construction `_linear_map` folds into
-    one matrix, kept as an oracle."""
-    m = t_fine.size
-    J = Z @ L.T
-    B, WH = J[:, :m], J[:, m:]
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_x_y_covariance_follows_rho(self, H):
+        # constant vol c: X_1 = const + eps^b c Wbar_1 and Y_1 = const +
+        # eps^b xi Z^fOU_1, so Cov(X_1, Y_1) = eps^{2b} c xi Cov(Wbar_1, Z^fOU_1)
+        c, b, eps, beta, rho = 1.2, 0.75, 0.5, -1.0, -0.7
+        params = ModelParams(lam=0.0, beta=beta, xi=1.0, rho=rho,
+                             hurst=HurstParams(H), vol=constant_vol(c, b=b))
+        n = 20000
+        xb, yb = simulate(params, point_law(0.0), RescalingScheme(SchemeKind.TAILS, b=b),
+                          eps, TimeGrid.uniform(16), n, seed=14)
+        if H == 0.5:
+            # Cov(Wbar_1, int_0^1 e^{beta(1-u)} dB_u) = rho (1 - e^beta) / (-beta)
+            cov_drivers = rho * (1.0 - math.exp(beta)) / -beta
+        else:
+            # Z^fOU = F W^H on the simulation's fine grid, Cov(Wbar, W^H) = rho cross
+            t_fine = TimeGrid.uniform(128).t
+            cross = _joint_bm_fbm_covariance(H, t_fine)[:128, 128:]
+            cov_drivers = rho * _by_parts_matrix(t_fine, beta)[-1] @ cross[-1]
+        ref = eps ** (2 * b) * c * cov_drivers
+        emp = np.cov(xb.values[:, -1], yb.values[:, -1])
+        se = math.sqrt((emp[0, 0] * emp[1, 1] + emp[0, 1] ** 2) / n)
+        assert abs(emp[0, 1] - ref) <= 5.0 * se
+
+
+def _stepwise_by_parts(WH, t_fine, beta_eff):
+    """Z^fOU from W^H step by step: the cumulative trapezoid of the fOU
+    integral by parts. This is the construction `_by_parts_matrix` folds
+    into one matrix, kept as an oracle."""
     dtf = np.diff(np.concatenate([[0.0], t_fine]))
     g = WH * np.exp(-beta_eff * t_fine)
     half_t0 = 0.5 * t_fine[0]
@@ -264,8 +286,26 @@ def _stepwise_linear_map(L, Z, t_fine, beta_eff, noise_scale):
          half_t0 * g[:, :1] + np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * dtf[1:], axis=1)],
         axis=1,
     )
-    zfou = WH + beta_eff * np.exp(beta_eff * t_fine) * cum
-    return np.diff(B, axis=1, prepend=0.0), noise_scale * zfou
+    return WH + beta_eff * np.exp(beta_eff * t_fine) * cum
+
+
+def _joint_bm_fbm_covariance(H, t):
+    """Covariance of (B_{t_1..t_n}, W^H_{t_1..t_n}) where B is the
+    Volterra-generating Brownian motion of W^H: the oracle for the factor
+    of (Wbar, W^H) that the simulation draws from."""
+    n = t.size
+    C = np.empty((2 * n, 2 * n))
+    C[:n, :n] = np.minimum.outer(t, t)
+    C[n:, n:] = fbm_covariance(H, t[:, None], t[None, :])
+    # Cov(B_ti, W^H_tj) = int_0^min(ti,tj) K^H(tj, u) du = sum over the panels
+    # k <= min(i, j) of the K^H operator matrix A[j, k]
+    grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(np.concatenate([[0.0], t]))))
+    A = np.cumsum(operator_matrix(KernelSpec(KernelKind.K_FBM, HurstParams(H)), grid), axis=1)
+    idx = np.arange(n)
+    cross = A[idx[None, :], np.minimum.outer(idx, idx)]
+    C[:n, n:] = cross
+    C[n:, :n] = cross.T
+    return C
 
 
 def _cross_block_nested_quadrature(H, t):
@@ -294,32 +334,59 @@ CROSS_DIAG_ORACLE = {
 
 
 class TestJointCovariance:
-    """Joint law of (B, W^H) on the fine grid of the H != 1/2 simulation.
-    Tolerances are looser at H = 0.1: the panel quadrature of the rough
-    kernel's (t-s)^{H-1/2} endpoint reaches ~4e-10 relative there."""
+    """Joint law of (B, W^H) on the fine grid of the H != 1/2 simulation,
+    and the factor of (Wbar, W^H) drawn from it. Tolerances of the cross
+    block are looser at H = 0.1: the panel quadrature of the rough kernel's
+    (t-s)^{H-1/2} endpoint reaches ~4e-10 relative there."""
 
     @pytest.mark.parametrize("H, tol", [(0.1, 1e-10), (0.3, 1e-12), (0.7, 1e-12)])
     def test_cross_block_matches_nested_quadrature(self, H, tol):
         t = TimeGrid.uniform(16).t
-        cross = model._joint_bm_fbm_covariance(H, t)[:16, 16:]
+        cross = _joint_bm_fbm_covariance(H, t)[:16, 16:]
         assert np.max(np.abs(cross - _cross_block_nested_quadrature(H, t))) <= tol
 
     @pytest.mark.parametrize("H, tol", [(0.1, 1e-9), (0.3, 1e-12), (0.7, 1e-12)])
     def test_cross_diagonal_homogeneous(self, H, tol):
         t = TimeGrid.uniform(16).t
-        cross = model._joint_bm_fbm_covariance(H, t)[:16, 16:]
+        cross = _joint_bm_fbm_covariance(H, t)[:16, 16:]
         np.testing.assert_allclose(np.diag(cross) / t ** (H + 0.5), CROSS_DIAG_ORACLE[H],
                                    rtol=tol, atol=0)
 
     def test_h_half_cross_is_min(self):
         t = TimeGrid.uniform(16).t
-        cross = model._joint_bm_fbm_covariance(0.5, t)[:16, 16:]
+        cross = _joint_bm_fbm_covariance(0.5, t)[:16, 16:]
         np.testing.assert_allclose(cross, np.minimum.outer(t, t), rtol=0, atol=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9])
-    def test_factors_without_jitter(self, H):
-        C = model._joint_bm_fbm_covariance(H, TimeGrid.uniform(128).t)
-        np.linalg.cholesky(C)  # raises if jitter would be needed
+    def test_factors_without_jitter(self, monkeypatch, H):
+        # a jitter fallback in _stable_cholesky warns, which fails here
+        monkeypatch.setattr(model, "_joint_chol_cache", {})
+        for rho in (0.0, 0.9, -0.999):
+            model._joint_bm_fbm_cholesky(H, TimeGrid.uniform(128).t, rho)
+
+    @staticmethod
+    def _factor_error(H, rho, t):
+        """max |L L^T - C| / max |C|, with C the oracle for (Wbar, W^H):
+        Cov(Wbar, Wbar) = min, Cov(Wbar, W^H) = rho times the cross block."""
+        n = t.size
+        C = _joint_bm_fbm_covariance(H, t)
+        C[:n, n:] *= rho
+        C[n:, :n] *= rho
+        L = model._joint_bm_fbm_cholesky(H, t, rho)
+        return np.max(np.abs(L @ L.T - C)) / np.max(np.abs(C))
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 0.9])
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    def test_factor_is_exact(self, H, rho):
+        assert self._factor_error(H, rho, TimeGrid.uniform(128).t) <= 1e-13
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(H=st.floats(0.05, 0.95),
+           rho=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
+           m=st.integers(1, 24))
+    def test_factor_is_exact_property(self, H, rho, m):
+        assert self._factor_error(H, rho, TimeGrid.uniform(m).t) <= 1e-13
 
 
 class TestRoughSimulationLayout:
@@ -328,18 +395,24 @@ class TestRoughSimulationLayout:
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
     @pytest.mark.parametrize("kind", [SchemeKind.TAILS, SchemeKind.SMALL_TIME])
     def test_linear_map_matches_stepwise(self, H, kind):
-        params = ModelParams(beta=-1.3, xi=0.8, hurst=HurstParams(H), vol=linear_vol(b=0.75))
+        # the Y noise GEMM of _simulate_general and its closed-form Wbar
+        # increments, against W^H and Wbar from the factor step by step
+        params = ModelParams(beta=-1.3, xi=0.8, rho=-0.5, hurst=HurstParams(H),
+                             vol=linear_vol(b=0.75))
         beta_eff, _, _, noise_scale, _, _ = model._scheme_coefficients(
             params, RescalingScheme(kind, b=0.75), 0.5)
         t = TimeGrid.uniform(16).t
         t_fine = np.unique(np.concatenate([np.linspace(0.0, 1.0, 129)[1:], t]))
         m = t_fine.size
-        L = model._joint_bm_fbm_cholesky(H, t_fine)
+        L = model._joint_bm_fbm_cholesky(H, t_fine, params.rho)
         Z = np.random.default_rng(8).standard_normal((300, 2 * m))
-        N = Z @ model._linear_map(L, t_fine, beta_eff, noise_scale).T
-        for got, ref in zip((N[:, :m], N[:, m:]),
-                            _stepwise_linear_map(L, Z, t_fine, beta_eff, noise_scale)):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        J = Z @ L.T
+        got = Z @ (noise_scale * _by_parts_matrix(t_fine, beta_eff) @ L[m:]).T
+        ref = noise_scale * _stepwise_by_parts(J[:, m:], t_fine, beta_eff)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        dw = np.diff(J[:, :m], axis=1, prepend=0.0)
+        assert np.max(np.abs(np.sqrt(np.diff(t_fine, prepend=0.0)) * Z[:, :m] - dw)) \
+            <= 1e-13 * np.max(np.abs(dw))
 
     def _args(self, n_paths):
         params = ModelParams(hurst=HurstParams(0.3), vol=linear_vol(b=0.75), rho=-0.4)
