@@ -24,7 +24,6 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     TimeGrid,
-    gram_matrix,
     operator_matrix,
 )
 from .paths import GaussianPathBatch, _by_parts_matrix, _stable_cholesky, fbm_covariance, make_rng
@@ -434,15 +433,18 @@ def _joint_bm_fbm_cholesky(H: float, t: np.ndarray, rho: float):
     Brownian motion of W^H and B' an independent one. Wbar's increment over
     panel k is sqrt(dt_k) Z_k. Cov(W^H_tj, dB_k) is the K^H operator matrix
     A[j, k], so W^H = U Z_{:n} + L22 Z_{n:} with U = rho A diag(dt)^{-1/2}
-    and L22 the Cholesky factor of C_fBm - U U^T.
+    and L22 the Cholesky factor of C_fBm - U U^T. At rho = 0, U is exactly 0
+    and no operator matrix is built.
     """
     key = (H, tuple(t), rho)
     if key in _joint_chol_cache:
         return _joint_chol_cache[key]
     n = t.size
     dt = np.diff(t, prepend=0.0)
-    grid = TimeGrid(nodes=tuple(t), weights=tuple(dt))
-    U = rho * operator_matrix(KernelSpec(KernelKind.K_FBM, HurstParams(H)), grid) / np.sqrt(dt)
+    U = np.zeros((n, n))
+    if rho:
+        grid = TimeGrid(nodes=tuple(t), weights=tuple(dt))
+        U = rho * operator_matrix(KernelSpec(KernelKind.K_FBM, HurstParams(H)), grid) / np.sqrt(dt)
     L = np.zeros((2 * n, 2 * n))
     L[:n, :n] = np.tril(np.broadcast_to(np.sqrt(dt), (n, n)))
     L[n:, :n] = U
@@ -467,10 +469,14 @@ def simulate(
     Y^eps is exact in law at the grid nodes. X^eps is Euler-Maruyama against
     the increments of Wbar = rho B + rho_bar B', where B drives the
     volatility. For H = 1/2 the volatility integral uses the exact per-panel
-    OU recursion; for H != 1/2 the pair (Wbar, W^H) is drawn jointly on an
-    internal fine grid of m nodes, from 2m standard normals per path whose
-    first m drive Wbar, and the fOU integral is evaluated by the
-    integration-by-parts identity there.
+    OU recursion. For H != 1/2, W^H is drawn on an internal fine grid of m
+    nodes and the fOU integral is evaluated by the integration-by-parts
+    identity there. With rho != 0, (Wbar, W^H) is drawn jointly from 2m
+    standard normals per path whose first m drive Wbar. With rho = 0, Wbar
+    is independent of the volatility, so each path draws m normals for W^H
+    and n more, one per grid panel, for X's increment over that panel from
+    its exact Gaussian law given the volatility path: the same law as the
+    Euler sum over the panel's fine steps.
     Returns (x_batch, y_batch) as GaussianPathBatch objects.
     """
     if grid.n < 16 and not allow_coarse:
@@ -542,55 +548,81 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     """Fine-grid simulation for H != 1/2.
 
     Paths are simulated in blocks of _ROW_BLOCK rows (the last block is
-    shorter). Block b draws one array of standard normals Z (rows, 2m) from
-    the b-th child stream spawned from `rng` after Theta, so the block size
-    is part of the random-number layout and the paths are a function of the
-    seed and n_paths only. Through the factor of _joint_bm_fbm_cholesky, the
-    first m columns of Z give the Euler driver's increments
-    dWbar_k = sqrt(dt_k) Z_k, and one GEMM of Z with
-    noise_scale * F [U, L22] (F the by-parts fOU map) gives the Y noise;
-    U = 0 when rho = 0, and then only the last m columns enter the GEMM.
-    The Euler X recursion and the gather at coarse nodes follow. Blocks
-    write disjoint rows and run on up to _WORKERS threads (numpy's RNG fill,
-    BLAS and ufuncs release the GIL); the worker count does not change the
-    result. A Tabulated vol's user callables therefore run on worker
-    threads, concurrently.
+    shorter). Block b draws one array of standard normals Z from the b-th
+    child stream spawned from `rng` after Theta, so the block size is part
+    of the random-number layout and the paths are a function of the seed and
+    n_paths only. Z's last m columns, and with rho != 0 all of them, enter
+    one GEMM with noise_scale * F [U, L22] (F the by-parts fOU map, [U, L22]
+    the W^H rows of the factor of _joint_bm_fbm_cholesky) that gives the Y
+    noise. X's increments are summed over each coarse panel through the 0/1
+    fine-step -> panel matrix P and cumulated over the n coarse nodes.
+
+    rho != 0: Z is (rows, 2m); its first m columns give the Euler driver's
+    increments dWbar_k = sqrt(dt_k) Z_k, and the fine Euler increments
+    dx_k = drift_k s_k^2 + dw_coef_k s_k Z_k, with left-endpoint vol s, are
+    summed as dx @ P.
+
+    rho = 0: Wbar is independent of W^H, so given the vol path a panel's sum
+    of Euler increments is exactly Gaussian, with mean sum drift_k s_k^2 and
+    variance sum dw_coef_k^2 s_k^2 over its fine steps. Z is (rows, n + m);
+    one GEMM of s^2 with [drift P | dw_coef^2 P] gives (mean | var), and the
+    panel increment is mean + sqrt(var) Z_j for the first n columns.
+
+    Blocks write disjoint rows and run on up to _WORKERS threads (numpy's
+    RNG fill, BLAS and ufuncs release the GIL); the worker count does not
+    change the result. A Tabulated vol's user callables therefore run on
+    worker threads, concurrently.
     """
     H = params.hurst.H
     t_coarse = grid.t
+    n = grid.n
     T = t_coarse[-1]
     t_fine = np.unique(np.concatenate([np.linspace(0.0, T, n_fine + 1)[1:], t_coarse]))
     m = t_fine.size
     L = _joint_bm_fbm_cholesky(H, t_fine, params.rho)
-    first = 0 if params.rho else m
-    MT = (noise_scale * _by_parts_matrix(t_fine, beta_eff) @ L[m:, first:]).T
     dtf = np.diff(t_fine, prepend=0.0)
     dw_coef = xnoise_coef * np.sqrt(dtf)
     drift = drift_coef * dtf
+    # P[k, j] = 1 when fine step k, (t_fine[k-1], t_fine[k]], lies in coarse panel j
+    P = (np.searchsorted(t_coarse, t_fine)[:, None] == np.arange(n)).astype(float)
+    # Z's first `width - m` columns drive X; the columns from `first` on give
+    # the Y noise through the W^H rows LW of the factor
+    pathwise = params.rho != 0.0
+    if pathwise:
+        width, first, LW = 2 * m, 0, L[m:]
+    else:
+        width, first, LW = n + m, n, L[m:, m:]
+        MV = np.hstack([drift[:, None] * P, (dw_coef * dw_coef)[:, None] * P])
+    MT = (noise_scale * _by_parts_matrix(t_fine, beta_eff) @ LW).T
     # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
     ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
     y_start = start_scale * ebt
     y_lam = lam_term_coef * (1.0 - ebt)
     gather = np.searchsorted(t_fine, t_coarse)
-    x = np.empty((n_paths, grid.n))
-    y = np.empty((n_paths, grid.n))
+    x = np.empty((n_paths, n))
+    y = np.empty((n_paths, n))
     nb = -(-n_paths // _ROW_BLOCK)
     streams = rng.spawn(nb)
 
     def run_block(b):
         lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
-        Z = streams[b].standard_normal((hi - lo, 2 * m))
+        Z = streams[b].standard_normal((hi - lo, width))
         yb = theta[lo:hi, None] * y_start + y_lam
         yb[:, 1:] += Z[:, first:] @ MT
-        # Euler X on the fine grid using left-endpoint vol, in place over
-        # the Wbar columns of Z
         sv = svol(yb[:, :-1])
-        dx = Z[:, :m]
-        dx *= dw_coef
-        dx += drift * sv
-        dx *= sv
-        np.cumsum(dx, axis=1, out=dx)
-        x[lo:hi] = dx[:, gather]
+        if pathwise:
+            # Euler X on the fine grid, in place over the Wbar columns of Z
+            dx = Z[:, :m]
+            dx *= dw_coef
+            dx += drift * sv
+            dx *= sv
+            dx = dx @ P
+        else:
+            mv = (sv * sv) @ MV
+            dx = Z[:, :n]
+            dx *= np.sqrt(mv[:, n:])
+            dx += mv[:, :n]
+        np.cumsum(dx, axis=1, out=x[lo:hi])
         y[lo:hi] = yb[:, gather + 1]
 
     workers = min(nb, _WORKERS)

@@ -34,7 +34,7 @@ from fracldp import (
 )
 from fracldp import model
 from fracldp.kernels import _tanh_sinh_rule, eval_kernel_batch, fbm_covariance, operator_matrix
-from fracldp.paths import _by_parts_matrix
+from fracldp.paths import _by_parts_matrix, make_rng
 
 
 class TestVolFunction:
@@ -196,10 +196,11 @@ class TestSimulate:
         assert np.array_equal(xa.values, xb.values)
         assert np.array_equal(ya.values, yb.values)
 
-    def test_gaussian_control_case(self):
+    @staticmethod
+    def _check_gaussian_control(hurst):
         # constant vol c, rho = 0: X^eps_1 ~ N(-c^2/2, eps^{2b} c^2) exactly
         c, b, eps = 1.2, 0.75, 0.5
-        params = ModelParams(lam=0.0, beta=-1.0, xi=1.0, rho=0.0,
+        params = ModelParams(lam=0.0, beta=-1.0, xi=1.0, rho=0.0, hurst=hurst,
                              vol=constant_vol(c, b=b))
         scheme = RescalingScheme(SchemeKind.TAILS, b=b)
         n = 200000
@@ -214,6 +215,13 @@ class TestSimulate:
         est = tail_probability(xb, level, 1.0)
         p_ref = norm.sf((level - mean) / sd)
         assert abs(est.p_hat - p_ref) <= 3 * est.std_err + 1e-12
+
+    def test_gaussian_control_case(self):
+        self._check_gaussian_control(HurstParams(0.5))
+
+    def test_gaussian_control_case_rough(self):
+        # through the rho = 0 panel draws of the fine-grid simulation
+        self._check_gaussian_control(HurstParams(0.3))
 
     def test_y_law_exact_h_half(self):
         # Y^eps is exact in law: empirical covariance matches the kernel Gram
@@ -376,6 +384,19 @@ class TestJointCovariance:
         L = model._joint_bm_fbm_cholesky(H, t, rho)
         return np.max(np.abs(L @ L.T - C)) / np.max(np.abs(C))
 
+    def test_rho_zero_builds_no_operator_matrix(self, monkeypatch):
+        # at rho = 0 the cross block U is exactly 0, so no quadrature is run
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("operator_matrix called")
+
+        monkeypatch.setattr(model, "operator_matrix", no_quadrature)
+        monkeypatch.setattr(model, "_joint_chol_cache", {})
+        t = TimeGrid.uniform(64).t
+        L = model._joint_bm_fbm_cholesky(0.3, t, 0.0)
+        assert not L[64:, :64].any()
+        with pytest.raises(AssertionError, match="operator_matrix called"):
+            model._joint_bm_fbm_cholesky(0.3, t, 1e-12)
+
     @pytest.mark.parametrize("rho", [0.0, -0.5, 0.9])
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
     def test_factor_is_exact(self, H, rho):
@@ -414,16 +435,15 @@ class TestRoughSimulationLayout:
         assert np.max(np.abs(np.sqrt(np.diff(t_fine, prepend=0.0)) * Z[:, :m] - dw)) \
             <= 1e-13 * np.max(np.abs(dw))
 
-    def _args(self, n_paths):
-        params = ModelParams(hurst=HurstParams(0.3), vol=linear_vol(b=0.75), rho=-0.4)
+    def _args(self, n_paths, rho=-0.4):
+        params = ModelParams(hurst=HurstParams(0.3), vol=linear_vol(b=0.75), rho=rho)
         return (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
                 TimeGrid.uniform(16), n_paths)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_does_not_change_paths(self, monkeypatch, workers):
+    def _check_worker_count(self, monkeypatch, workers, rho):
         # two full blocks and a short one; with 3 workers every block gets a
         # thread, and a short switch interval interleaves them more often
-        args = self._args(2 * model._ROW_BLOCK + 37)
+        args = self._args(2 * model._ROW_BLOCK + 37, rho)
         monkeypatch.setattr(model, "_WORKERS", 1)
         x1, y1 = simulate(*args, seed=4)
         monkeypatch.setattr(model, "_WORKERS", workers)
@@ -436,13 +456,88 @@ class TestRoughSimulationLayout:
         assert np.array_equal(x1.values, x2.values)
         assert np.array_equal(y1.values, y2.values)
 
-    def test_first_block_is_prefix_stable(self):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_does_not_change_paths(self, monkeypatch, workers):
+        self._check_worker_count(monkeypatch, workers, rho=-0.4)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_does_not_change_paths_rho_zero(self, monkeypatch, workers):
+        self._check_worker_count(monkeypatch, workers, rho=0.0)
+
+    def _check_prefix_stable(self, rho):
         R = model._ROW_BLOCK
-        x0, y0 = simulate(*self._args(R), seed=4)
-        x1, y1 = simulate(*self._args(2 * R + 37), seed=4)
+        x0, y0 = simulate(*self._args(R, rho), seed=4)
+        x1, y1 = simulate(*self._args(2 * R + 37, rho), seed=4)
         assert np.array_equal(x0.values, x1.values[:R])
         assert np.array_equal(y0.values, y1.values[:R])
         assert not np.array_equal(x1.values[:R], x1.values[R : 2 * R])
+
+    def test_first_block_is_prefix_stable(self):
+        self._check_prefix_stable(rho=-0.4)
+
+    def test_first_block_is_prefix_stable_rho_zero(self):
+        self._check_prefix_stable(rho=0.0)
+
+    def test_rho_zero_panel_moments_match_fine_sums(self):
+        # at rho = 0, X's increment over coarse panel j is mean_j + sqrt(var_j) Z_j,
+        # with (mean | var) from one GEMM; here they are summed over the
+        # panel's fine steps one by one, from the vol the simulation used. The
+        # graded grid has nodes off the fine lattice, so panels hold unequal steps.
+        seen = []
+
+        def sigma(y):
+            out = 0.3 + np.sin(3.0 * y) ** 2
+            seen.append(out)
+            return out
+
+        b, eps, n_fine, rows = 0.75, 0.5, 40, 300
+        vol = model.VolFunction(kind="Tabulated", b=b, sigma_fn=sigma, sigma_tilde_fn=sigma)
+        params = ModelParams(beta=-1.3, xi=0.8, rho=0.0, hurst=HurstParams(0.3), vol=vol)
+        scheme = RescalingScheme(SchemeKind.TAILS, b=b)
+        t = (np.arange(1, 17) / 16.0) ** 2
+        grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(t, prepend=0.0)))
+        xb, _ = simulate(params, point_law(0.1), scheme, eps, grid, rows, seed=6, n_fine=n_fine)
+        (out,) = seen  # one block: the vol at the fine steps' left ends
+        sv2 = (eps**b * out) ** 2
+        # a Point law draws nothing, so block 0 reads child stream 0 of the seed
+        t_fine = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_fine + 1)[1:], t]))
+        Z = make_rng(6).spawn(1)[0].standard_normal((rows, t.size + t_fine.size))
+        _, _, _, _, drift_coef, xnoise_coef = model._scheme_coefficients(params, scheme, eps)
+        mean = np.zeros((rows, t.size))
+        var = np.zeros((rows, t.size))
+        left = 0.0
+        for k, tk in enumerate(t_fine):
+            j = int(np.nonzero(t >= tk)[0][0])
+            mean[:, j] += drift_coef * (tk - left) * sv2[:, k]
+            var[:, j] += xnoise_coef**2 * (tk - left) * sv2[:, k]
+            left = tk
+        ref = np.cumsum(mean + np.sqrt(var) * Z[:, : t.size], axis=1)
+        assert np.max(np.abs(xb.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    def test_rho_zero_law_matches_pathwise_euler(self, H):
+        # rho = 1e-12 runs the pathwise Euler branch; its X_1 law differs from
+        # rho = 0 by O(1e-12), so mean, variance and a tail probability must
+        # agree within 5 combined standard errors
+        n, level = 200_000, 0.3
+        x1 = {}
+        for rho, seed in ((0.0, 21), (1e-12, 22)):
+            params = ModelParams(beta=-1.0, xi=1.0, rho=rho, hurst=HurstParams(H),
+                                 vol=linear_vol(b=0.75))
+            xb, _ = simulate(params, point_law(0.2), RescalingScheme(SchemeKind.TAILS, b=0.75),
+                             0.5, TimeGrid.uniform(16), n, seed=seed)
+            x1[rho] = xb.values[:, -1]
+
+        def moments(x):
+            d = x - x.mean()
+            v = np.mean(d * d)
+            p = np.mean(x >= level)
+            # squared standard errors of the mean, the variance and p
+            return (x.mean(), v, p), (v / n, (np.mean(d**4) - v * v) / n, p * (1 - p) / n)
+
+        (a, se_a), (b, se_b) = moments(x1[0.0]), moments(x1[1e-12])
+        for u, w, su, sw in zip(a, b, se_a, se_b):
+            assert abs(u - w) <= 5.0 * math.sqrt(su + sw)
 
 
 class TestTailProbabilityAndSlope:
