@@ -49,7 +49,10 @@ class VolFunction:
     sigma = sigma_tilde = c with the rescaled coefficient equal to c as well;
     this is the Black-Scholes control case where the scaling limit is imposed
     rather than derived, used to make the X dynamics exactly Gaussian in tests.
-    Tabulated takes user callables and rescales sigma literally.
+    Tabulated takes user callables and rescales sigma literally. Its
+    sigma_tilde must be continuous: the rate solver needs that for an
+    inequality constraint to bind at its level, and it differentiates
+    sigma_tilde by central differences.
     """
 
     kind: VolKind = VolKind.LINEAR
@@ -415,7 +418,8 @@ _joint_chol_cache: dict = {}
 
 # Rows per block of _simulate_general. Part of the seed layout: block b
 # draws from the b-th child stream, so changing this changes the paths for a
-# given seed. Small enough that a block's (rows, 2m) arrays stay in cache.
+# given seed. Small enough that a block's (rows, 2m) arrays ((rows, n + m)
+# at rho = 0) stay in cache.
 _ROW_BLOCK = 2048
 
 # Threads that run those blocks; not part of the seed layout.

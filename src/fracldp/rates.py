@@ -8,7 +8,8 @@ ranges over a compact interval and is optimized jointly.
 
 For fixed f (and start) the constraint is linear in g, so the cheapest g is
 explicit; `solve` minimises the resulting reduced energy over f (and the
-start) alone, by multistart L-BFGS-B.
+start) alone, by multistart L-BFGS-B. An inequality constraint that the
+zero control misses binds, so it is solved as the equality at its level.
 """
 
 from __future__ import annotations
@@ -314,9 +315,11 @@ def _solve_equality(problem: VariationalProblem, level: float,
     return RateResult(energy, cv, y, x, u, ok, total_iters, kkt, level)
 
 
-def _unconstrained_terminal(problem: VariationalProblem) -> float:
-    """Terminal x at zero controls, minimized/maximized over the start
-    interval by a coarse scan (the zero-control path costs zero energy)."""
+def _unconstrained_terminal(problem: VariationalProblem) -> list:
+    """Terminal x values of the zero-control path (which costs no energy):
+    one at a fixed start, else one at each of 9 evenly spaced starts across
+    the start interval. Nothing is minimised here; `solve` takes the extreme
+    on the constraint side."""
     lo, hi = problem.start
     us = [lo] if hi <= lo else list(np.linspace(lo, hi, 9))
     zero = ControlVector(np.zeros(problem.grid.n), np.zeros(problem.grid.n))
@@ -330,47 +333,28 @@ def _unconstrained_terminal(problem: VariationalProblem) -> float:
 def solve(problem: VariationalProblem) -> RateResult:
     """Minimize the control energy subject to the terminal constraint.
 
-    Equality constraints go straight to `_solve_equality`, a multistart
-    L-BFGS-B on the energy with g eliminated in closed form.
-    Inequality senses first check zero-control feasibility (value 0), then
-    scan a geometric ladder of equality levels on the constraint side,
-    keeping the smallest energy; the scan stops early once values increase
-    monotonically. A "<=" problem is the ">=" problem for -x.
+    Inequality senses first check zero-control feasibility (value 0);
+    otherwise the constraint binds. Equality constraints, and inequality
+    ones that bind, make one call of `_solve_equality` at `problem.level`:
+    multistart L-BFGS-B on the energy with g eliminated in closed form.
+    A "<=" problem is the ">=" problem for -x.
     """
-    if problem.sense == "=":
-        return _solve_equality(problem, problem.level)
-    sgn = 1.0 if problem.sense == ">=" else -1.0
-    x0_vals = sgn * np.asarray(_unconstrained_terminal(problem))
-    if max(x0_vals) >= sgn * problem.level:
-        n = problem.grid.n
-        zero = ControlVector(np.zeros(n), np.zeros(n))
-        u = problem.start[0] if len(x0_vals) == 1 else float(
-            np.linspace(problem.start[0], problem.start[1], 9)[int(np.argmax(x0_vals))]
-        )
-        y, x = path_from_controls(problem, zero, start=u)
-        return RateResult(0.0, zero, y, x, u, True, 0, 0.0, problem.level)
-    levels = problem.level * np.geomspace(1.0, 4.0, 11) if sgn * problem.level > 0 else \
-        problem.level + sgn * np.linspace(0.0, 2.0 * abs(problem.level) + 1.0, 11)
-    best = None
-    increases = 0
-    prev = None
-    for lv in levels:
-        res = _solve_equality(problem, float(lv))
-        if math.isfinite(res.value) and (best is None or res.value < best.value):
-            best = res
-        if prev is not None and math.isfinite(res.value) and res.value > prev + 1e-12:
-            increases += 1
-            if increases >= 2:
-                break
-        else:
-            increases = 0
-        prev = res.value if math.isfinite(res.value) else prev
-    if best is None:
-        n = problem.grid.n
-        zero = ControlVector(np.zeros(n), np.zeros(n))
-        y, x = path_from_controls(problem, zero, start=problem.start[0])
-        return RateResult(INFEASIBLE, zero, y, x, problem.start[0], False, 0, math.nan, problem.level)
-    return best
+    if problem.sense != "=":
+        sgn = 1.0 if problem.sense == ">=" else -1.0
+        x0_vals = sgn * np.asarray(_unconstrained_terminal(problem))
+        if max(x0_vals) >= sgn * problem.level:
+            n = problem.grid.n
+            zero = ControlVector(np.zeros(n), np.zeros(n))
+            u = problem.start[0] if len(x0_vals) == 1 else float(
+                np.linspace(problem.start[0], problem.start[1], 9)[int(np.argmax(x0_vals))]
+            )
+            y, x = path_from_controls(problem, zero, start=u)
+            return RateResult(0.0, zero, y, x, u, True, 0, 0.0, problem.level)
+    # An inequality the zero control misses binds: scaling a control (f, g)
+    # that reaches beyond the level by lambda in (0, 1] moves x_T continuously
+    # from the zero-control value to beyond the level, so some lambda hits it
+    # exactly, at lambda^2 times the energy.
+    return _solve_equality(problem, problem.level)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracldp import (
     INFEASIBLE,
@@ -223,6 +224,66 @@ class TestReducedObjective:
         assert res.converged and math.isfinite(res.value)
 
 
+def binding_cases():
+    """Inequality problems whose zero control misses the level: both senses,
+    both signs of sgn * level (sgn = +1 for >=, -1 for <=), a tail problem
+    with drift, the model of perfbench's rate_sweep, and a free start."""
+    fou = KernelSpec(KernelKind.F_FOU, HurstParams(0.3), beta=-1.0, xi=1.0)
+    g_zero = KernelSpec(KernelKind.G_ZERO, HurstParams(0.3), xi=1.0)
+    return {
+        "ge_positive": identity_problem(level=1.0),
+        "le_negative": identity_problem(level=-1.0, sense="<="),
+        # zero control from u = 1: sigma_tilde = 1, x_T = -1/2 < -0.2.
+        # (A "<=" problem with level >= 0 never binds: the zero-control
+        # x_T = -1/2 int sigma_tilde^2 <= 0 already meets it.)
+        "ge_negative_drift": identity_problem(
+            vol=linear_vol(), include_drift=True, start=(1.0, 1.0), level=-0.2),
+        "fou_drift": VariationalProblem(
+            kernel=fou, vol=linear_vol(b=0.75), grid=TimeGrid.uniform(24), rho=-0.3,
+            include_drift=True, level=1.0, sense=">="),
+        "sweep_model": VariationalProblem(
+            kernel=g_zero, vol=affine_abs_vol(0.1, 1.0, b=0.5), grid=TimeGrid.uniform(32),
+            rho=-0.5, level=-0.2, sense="<="),
+        "free_start_forward": VariationalProblem(
+            kernel=g_zero, vol=affine_abs_vol(0.1, 1.0, b=0.5), grid=TimeGrid.uniform(24),
+            rho=-0.5, start=(0.05, 0.35), level=0.3, sense=">="),
+    }
+
+
+class TestInequalityBinds:
+    """When the zero control misses the level, the inequality infimum is
+    attained on the boundary, so `solve` makes one equality solve there."""
+
+    @pytest.mark.parametrize("case", ["ge_positive", "le_negative", "ge_negative_drift",
+                                      "free_start_forward"])
+    def test_one_equality_solve_at_the_level(self, case, monkeypatch):
+        p = binding_cases()[case]
+        x0 = np.asarray(rates._unconstrained_terminal(p))
+        assert np.all(x0 < p.level) if p.sense == ">=" else np.all(x0 > p.level)
+        levels = []
+        inner = rates._solve_equality
+
+        def counted(problem, level, *args, **kwargs):
+            levels.append(level)
+            return inner(problem, level, *args, **kwargs)
+
+        monkeypatch.setattr(rates, "_solve_equality", counted)
+        res = solve(p)
+        assert levels == [p.level]
+        assert res.level_used == p.level
+        assert res.converged and res.value > 0.0
+
+    @pytest.mark.parametrize("case", ["ge_positive", "sweep_model", "fou_drift",
+                                      "free_start_forward"])
+    def test_equality_values_grow_beyond_the_level(self, case):
+        p = binding_cases()[case]
+        vals = [rates._solve_equality(p, c * p.level).value for c in (1.0, 1.25, 2.0, 4.0)]
+        assert all(math.isfinite(v) for v in vals)
+        for lower, higher in zip(vals, vals[1:]):
+            assert higher >= lower * (1.0 - 1e-9)
+        assert solve(p).value == vals[0]
+
+
 @pytest.mark.slow
 class TestBruteForceOracle:
     def test_schilder_coarse(self):
@@ -283,6 +344,20 @@ class TestProperties:
             )
             vals.append(solve(p).value)
         assert abs(vals[0] - vals[1]) <= 1e-4
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(H=st.floats(0.1, 0.9), rho=st.floats(-0.9, 0.9),
+           c1=st.floats(0.2, 2.0), k=st.floats(0.05, 0.6), scale=st.floats(0.25, 4.0))
+    def test_smalltime_homogeneity_and_symmetry(self, H, rho, c1, k, scale):
+        # sigma_tilde = c1 |y| is even and homogeneous of degree 1, so
+        # (f, g) -> lambda (f, g) maps x_T to lambda^2 x_T at lambda^2 times
+        # the energy, and (f, g) -> -(f, g) maps x_T to -x_T, for every rho
+        params = ModelParams(rho=rho, hurst=HurstParams(H), vol=affine_abs_vol(0.1, c1, b=0.5))
+        grid = TimeGrid.uniform(16)
+        base = smalltime_rate(params, k, 0.5, grid=grid).value
+        assert smalltime_rate(params, scale * k, 0.5, grid=grid).value == \
+            pytest.approx(scale * base, rel=1e-9)
+        assert smalltime_rate(params, -k, 0.5, grid=grid).value == pytest.approx(base, rel=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         p = VariationalProblem(
