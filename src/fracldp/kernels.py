@@ -10,13 +10,17 @@ Closed forms are used wherever they exist:
     F_fou at beta = 0) the kernel is xi times the Molchan-Golosov kernel
     kappa_H (t-s)^{H-1/2} 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s)
     (Decreusefond & Ustunel 1999), and its Gram matrix is xi^2 times the
-    fBm covariance.
-Tanh-sinh quadrature remains for the kernel with beta != 0 (an integral
-over (s, t) with an endpoint power singularity, removed by substitution),
-for the two panels of each operator_matrix row that touch a singularity of
-the kernel (s -> 0 and s -> t), and for the beta != 0 Gram matrix. The
-interior panels of operator_matrix, where the kernel is smooth, use a
-16-point Gauss-Legendre rule.
+    fBm covariance;
+  - at H != 1/2 the diagonal panel of each operator_matrix row, where the
+    kernel has its (t-s)^{H-1/2} singularity, is an incomplete beta function
+    in s left under one tanh-sinh integral.
+Pointwise, the kernel with beta != 0 is a tanh-sinh integral over (s, t)
+whose endpoint power singularity is removed by substitution. operator_matrix
+does not evaluate it pointwise: each s-node's integral is carried from row
+to row, with tanh-sinh only over (s, t_{j+1}) and Gauss-Legendre on the
+later u-panels. The closed-form kernels use tanh-sinh on panel 0 (s -> 0)
+and a 16-point Gauss-Legendre rule on the smooth interior panels. The
+beta != 0 Gram matrix is a tanh-sinh quadrature of pointwise kernel values.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import beta as _beta
+from scipy.special import betainc, hyp2f1, roots_legendre
 from scipy.special import gamma as _gamma
-from scipy.special import hyp2f1, roots_legendre
 
 
 class DomainError(ValueError):
@@ -254,6 +259,18 @@ def _singular_integral(s, t, gamma_exp, g, h=0.06, n=64):
     return np.power(span[..., 0], a) / a * np.sum(jac * g(u), axis=-1)
 
 
+def _volterra_factors(H: float, beta: float):
+    """Pieces of the Volterra representation of the kernel at H != 1/2,
+    Phi(t, s) = xi kappa s^{-hm} [lead(t, s) + c int_s^t (u-s)^gam g(u) e^{beta(t-u)} du]
+    with hm = H - 1/2, shared by _kernel_values and
+    _accumulated_operator_matrix. Returns (gam, g, c, lead); lead is
+    (t(t-s))^hm for H < 1/2 and 0 above."""
+    hm = H - 0.5
+    if hm < 0:
+        return hm, lambda u: (beta - hm / u) * np.power(u, hm), 1.0, lambda t, s: np.power(t * (t - s), hm)
+    return hm - 1.0, lambda u: np.power(u, hm), hm, lambda t, s: 0.0
+
+
 def _kernel_values(H: float, beta: float, xi: float, t, s, h=0.06, n=64):
     """Evaluate the Volterra kernel F^H with rate beta and scale xi.
 
@@ -272,20 +289,9 @@ def _kernel_values(H: float, beta: float, xi: float, t, s, h=0.06, n=64):
     shape = np.broadcast_shapes(t.shape, s.shape)
     tb = np.broadcast_to(t, shape).astype(float)
     sb = np.broadcast_to(s, shape).astype(float)
-    if H < 0.5:
-
-        def g2(u):
-            return (beta - hm / u) * np.power(u, hm) * np.exp(beta * (tb[..., None] - u))
-
-        inner = _singular_integral(sb, tb, hm, g2, h=h, n=n)
-        bracket = np.power(tb * (tb - sb), hm) + inner
-        return xi * kap * np.power(sb, -hm) * bracket
-    else:
-        def g2(u):
-            return np.power(u, hm) * np.exp(beta * (tb[..., None] - u))
-
-        inner = _singular_integral(sb, tb, hm - 1.0, g2, h=h, n=n)
-        return xi * kap * hm * np.power(sb, -hm) * inner
+    gam, g, c, lead = _volterra_factors(H, beta)
+    inner = _singular_integral(sb, tb, gam, lambda u: g(u) * np.exp(beta * (tb[..., None] - u)), h=h, n=n)
+    return xi * kap * c * np.power(sb, -hm) * (lead(tb, sb) + inner)
 
 
 def eval_kernel(spec: KernelSpec, t: float, s: float, rtol: float = 1e-8) -> float:
@@ -341,14 +347,88 @@ def _cache_key(tag: str, spec: KernelSpec, grid: TimeGrid):
     return (tag, spec.kind.value, spec.hurst.H, spec.effective_beta, spec.effective_xi, grid.nodes)
 
 
+def _diagonal_panels(H: float, beta: float, xi: float, edges: np.ndarray) -> np.ndarray:
+    """int_a^t Phi(t, s) ds over each row's diagonal panel (a, t), H != 1/2.
+
+    Swapping the s- and u-integrals of the Volterra representation (Fubini)
+    turns the s-integral over (a, u) into a regularised incomplete beta
+    function of x = (u - a)/u, which leaves one tanh-sinh integral in u per
+    row. u - a is formed as dt q, so no node is clipped. beta may be 0.
+    """
+    hm = H - 0.5
+    a = edges[:-1, None]
+    dt = np.diff(edges)[:, None]
+    t = edges[1:, None]
+    q, qc, jac = _tanh_sinh_rule(0.06, 64)
+    u = a + dt * q
+    x = dt * q / u
+    decay = np.exp(beta * dt * qc)
+    if hm < 0:
+        p, r = 1.0 - hm, 1.0 + hm
+        b = _beta(p, r)
+        head = t[:, 0] ** (hm + 1.0) * b * betainc(r, p, dt[:, 0] / t[:, 0])
+        inner = (beta - hm / u) * np.power(u, hm + 1.0) * decay * b * betainc(r, p, x)
+    else:
+        head = 0.0
+        inner = hm * np.power(u, hm) * decay * _beta(1.0 - hm, hm) * betainc(hm, 1.0 - hm, x)
+    return xi * kappa(H) * (head + np.sum(dt * jac * inner, axis=1))
+
+
+def _accumulated_operator_matrix(H: float, beta: float, xi: float, edges: np.ndarray) -> np.ndarray:
+    """Off-diagonal entries of the beta != 0, H != 1/2 operator matrix.
+
+    Each panel j < n-1 carries one set of s-nodes that serves every later
+    row: tanh-sinh nodes where the s^{-hm} singularity at 0 lies within half
+    a panel width (panel 0, and the first panels of a graded grid), 16
+    Gauss-Legendre nodes elsewhere. Phi(t_i, s) depends on t_i through the
+    running integral J_i(s) = int_s^{t_i} (u-s)^gam g(u) e^{beta(t_i-u)} du.
+    A node of panel j first needs it at row j+1, where a fine tanh-sinh rule
+    integrates over (s, t_{j+1}); each later row steps
+    J <- e^{beta dt_i} J + (Gauss-Legendre over (t_{i-1}, t_i)). Those
+    u-panels lie at least one panel width from s, where (u-s)^gam is smooth.
+    """
+    n = edges.size - 1
+    t = edges[1:]
+    dt = np.diff(edges)
+    hm = H - 0.5
+    gam, g, c, lead = _volterra_factors(H, beta)
+    q, _, jac = _tanh_sinh_rule(0.06, 64)
+    x, wx = _gauss_legendre_rule(16)
+    # the last panel is only ever a diagonal one, so it needs no s-nodes
+    rules = [(q, jac) if edges[j] < 0.5 * dt[j] else (x, wx) for j in range(n - 1)]
+    s = np.concatenate([np.empty(0)] + [edges[j] + dt[j] * r for j, (r, _) in enumerate(rules)])
+    ws = np.concatenate([np.empty(0)] + [dt[j] * w for j, (_, w) in enumerate(rules)])
+    weight = xi * kappa(H) * c * np.power(s, -hm) * ws
+    # start[j]: index of panel j's first node
+    start = np.cumsum([0] + [r.size for r, _ in rules])
+    J = np.empty_like(s)
+    A = np.zeros((n, n))
+    for i in range(1, n):
+        ti = t[i]
+        old, live = start[i - 1], start[i]
+        if old:
+            u = edges[i] + dt[i] * x
+            step = dt[i] * wx * g(u) * np.exp(beta * dt[i] * (1.0 - x))
+            J[:old] = math.exp(beta * dt[i]) * J[:old] + np.power(u - s[:old, None], gam) @ step
+        J[old:live] = _singular_integral(
+            s[old:live], ti, gam, lambda v: g(v) * np.exp(beta * (ti - v)), h=0.03, n=128)
+        A[i, :i] = np.add.reduceat(weight[:live] * (lead(ti, s[:live]) + J[:live]), start[:i])
+    return A
+
+
 def operator_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Matrix A with A[i, j] = int over panel j of Phi(t_i, s) ds (j <= i).
 
-    apply_operator is then A @ f for panelwise-constant controls f. Row i
-    integrates panel 0 (s -> 0, the s^{-(H-1/2)} factor) and the diagonal
-    panel i (s -> t_i) with the tanh-sinh rule, and the smooth panels
-    1..i-1 with a 16-point Gauss-Legendre rule; all nodes of a row go
-    through one eval_kernel_batch call.
+    apply_operator is then A @ f for panelwise-constant controls f.
+    - H != 1/2: the diagonal panels come from _diagonal_panels (incomplete
+      beta in s, tanh-sinh in u; no clipping).
+    - beta_eff != 0, H != 1/2: the off-diagonal entries come from
+      _accumulated_operator_matrix, O(n^2) work per s-node set.
+    - Otherwise (closed-form kernel) row i integrates panel 0 (s -> 0, the
+      s^{-(H-1/2)} factor) with the tanh-sinh rule and the smooth panels
+      1..i-1 with a 16-point Gauss-Legendre rule, all nodes of a row in one
+      eval_kernel_batch call; at H = 1/2 the diagonal panel i is a tanh-sinh
+      panel of that call as well.
     """
     key = _cache_key("op", spec, grid)
     if key in _matrix_cache:
@@ -362,24 +442,34 @@ def operator_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
             A[i, : i + 1] = np.diff(edges[: i + 2])
         _matrix_cache[key] = A
         return A
-    q, _, jac = _tanh_sinh_rule(0.06, 64)
-    x, wx = _gauss_legendre_rule(16)
-    for i in range(n):
-        ti = t[i]
-        lo = edges[: i + 1]
-        span = edges[1 : i + 2] - lo
-        # panel 0 (s -> 0) and the diagonal panel i (s -> ti) hold the kernel's
-        # singularities; every panel between them is smooth
-        sing = [0, i] if i else [0]
-        s_sing = lo[sing, None] + span[sing, None] * q[None, :]
-        # keep strictly inside (0, ti)
-        s_sing = np.clip(s_sing, 1e-300, ti * (1.0 - 1e-15))
-        s_mid = lo[1:i, None] + span[1:i, None] * x[None, :]
-        vals = eval_kernel_batch(spec, ti, np.concatenate([s_sing.ravel(), s_mid.ravel()]))
-        v_sing = vals[: s_sing.size].reshape(s_sing.shape)
-        v_mid = vals[s_sing.size :].reshape(s_mid.shape)
-        A[i, sing] = np.sum(span[sing, None] * jac[None, :] * v_sing, axis=1)
-        A[i, 1:i] = np.sum(span[1:i, None] * wx[None, :] * v_mid, axis=1)
+    H = spec.hurst.H
+    beta = spec.effective_beta
+    xi = spec.effective_xi
+    if H != 0.5 and beta != 0.0:
+        A = _accumulated_operator_matrix(H, beta, xi, edges)
+    else:
+        q, _, jac = _tanh_sinh_rule(0.06, 64)
+        x, wx = _gauss_legendre_rule(16)
+        for i in range(n):
+            ti = t[i]
+            lo = edges[: i + 1]
+            span = edges[1 : i + 2] - lo
+            # panel 0 (s -> 0) and the diagonal panel i (s -> ti) hold the
+            # kernel's singularities; every panel between them is smooth
+            sing = ([0] if i else []) + ([i] if H == 0.5 else [])
+            if not sing:
+                continue
+            s_sing = lo[sing, None] + span[sing, None] * q[None, :]
+            # keep strictly inside (0, ti)
+            s_sing = np.clip(s_sing, 1e-300, ti * (1.0 - 1e-15))
+            s_mid = lo[1:i, None] + span[1:i, None] * x[None, :]
+            vals = eval_kernel_batch(spec, ti, np.concatenate([s_sing.ravel(), s_mid.ravel()]))
+            v_sing = vals[: s_sing.size].reshape(s_sing.shape)
+            v_mid = vals[s_sing.size :].reshape(s_mid.shape)
+            A[i, sing] = np.sum(span[sing, None] * jac[None, :] * v_sing, axis=1)
+            A[i, 1:i] = np.sum(span[1:i, None] * wx[None, :] * v_mid, axis=1)
+    if H != 0.5:
+        A[np.diag_indices(n)] = _diagonal_panels(H, beta, xi, edges)
     _matrix_cache[key] = A
     return A
 

@@ -63,6 +63,156 @@ F_ORACLE_ABOVE_HALF = {
     (0.6, 1.0, 0.5): 0.59216601140906325371,
 }
 
+# Operator-matrix entries A[i, j] at xi = 1 (tests scale them by the
+# spec's effective xi), keyed (beta_eff, H, n, i, j) on the uniform n-grid:
+# diagonal panels and column 0, where the kernel is singular. 25-digit values
+# made with mpmath 1.3.0 by nested quadrature of the kernel: the closed form
+# K at beta = 0, and the kernels.py representation otherwise. Each panel is
+# split at its midpoint into an s- and a w = t - s integral, so that neither
+# s nor t - s is formed by cancellation:
+#   mp.mp.dps = 25
+#   kap = lambda H: mp.sqrt(2*H*mp.gamma(mp.mpf(3)/2 - H)
+#                           / (mp.gamma(H + mp.mpf(1)/2) * mp.gamma(2 - 2*H)))
+#   def F(H, b, t, s, w):  # kernel at (t, s), w = t - s
+#       hm = H - mp.mpf(1)/2
+#       if b == 0:
+#           return kap(H) * w**hm * mp.hyp2f1(hm, -hm, H + mp.mpf(1)/2, -w/s)
+#       if hm < 0:
+#           inner = mp.quad(lambda v: v**hm * (b - hm/(s+v)) * (s+v)**hm * mp.exp(b*(w-v)), [0, w])
+#           return kap(H) * s**(-hm) * ((t*w)**hm + inner)
+#       # u = s + w z^{1/hm} removes the (u-s)^{hm-1} endpoint; plain mp.quad
+#       # of that endpoint is off by ~1e-7
+#       inner = w**hm / hm * mp.quad(lambda z: (s + w*z**(1/hm))**hm
+#                                    * mp.exp(b*w*(1 - z**(1/hm))), [0, 1])
+#       return kap(H) * hm * s**(-hm) * inner
+#   def entry(H, b, t, lo, hi):  # int_lo^hi F(t, s) ds
+#       mid = (lo + hi) / 2
+#       return (mp.quad(lambda s: F(H, b, t, s, t - s), [lo, mid])
+#               + mp.quad(lambda w: F(H, b, t, t - w, w), [t - hi, t - mid]))
+#   entry(mp.mpf("0.1"), mp.mpf("-1"), mp.mpf(64)/64, mp.mpf(63)/64, mp.mpf(64)/64)
+# with t, lo, hi the grid's nodes as exact mpf (k/n, or (k/n)^q on a graded
+# grid). A build that clips nodes at s <= t(1 - 1e-15) and integrates
+# column 0 with the coarse per-node rule, as _operator_matrix_all_tanh_sinh
+# does, is off by up to 5e-9 (diagonal, H = 0.1) and 1.5e-11 (column 0).
+OP_ORACLE = {
+    (0.0, 0.1, 16, 0, 0): 0.14923887459547675052,
+    (0.0, 0.1, 16, 15, 15): 0.11367469112542840023,
+    (0.0, 0.1, 16, 15, 0): 0.090978218789955123347,
+    (0.0, 0.1, 64, 1, 1): 0.052433605102200592296,
+    (0.0, 0.1, 64, 63, 63): 0.049240826862545704916,
+    (0.0, 0.1, 64, 1, 0): 0.046027332709587153764,
+    (0.0, 0.1, 64, 63, 0): 0.038807568817911888725,
+    (0.0, 0.3, 16, 0, 0): 0.10618578003876649303,
+    (0.0, 0.3, 16, 15, 15): 0.099477848466707091027,
+    (0.0, 0.3, 16, 15, 0): 0.06693259193466416148,
+    (0.0, 0.3, 64, 1, 1): 0.033257686887571370531,
+    (0.0, 0.3, 64, 63, 63): 0.032780009639056518646,
+    (0.0, 0.3, 64, 1, 0): 0.027730028539732662799,
+    (0.0, 0.3, 64, 63, 0): 0.02050858700750836237,
+    (0.0, 0.7, 16, 0, 0): 0.034912639165106634073,
+    (0.0, 0.7, 16, 15, 15): 0.032698812619224984179,
+    (0.0, 0.7, 16, 15, 0): 0.092319456628621190213,
+    (0.0, 0.7, 64, 1, 1): 0.0062669091277672436782,
+    (0.0, 0.7, 64, 63, 63): 0.0061897614961147092065,
+    (0.0, 0.7, 64, 1, 0): 0.008929699717901709054,
+    (0.0, 0.7, 64, 63, 0): 0.028038009035105134829,
+    (-1.0, 0.1, 16, 0, 0): 0.14354696649817631729,
+    (-1.0, 0.1, 16, 15, 15): 0.1093495663077846649,
+    (-1.0, 0.1, 16, 15, 0): 0.031487918107661995061,
+    (-1.0, 0.1, 64, 1, 1): 0.051934749816359134766,
+    (-1.0, 0.1, 64, 63, 63): 0.048763123721694350605,
+    (-1.0, 0.1, 64, 1, 0): 0.044626037283274591691,
+    (-1.0, 0.1, 64, 63, 0): 0.013911604479330607545,
+    (-1.0, 0.3, 16, 0, 0): 0.10257973686495617681,
+    (-1.0, 0.3, 16, 15, 15): 0.09610128359815059848,
+    (-1.0, 0.3, 16, 15, 0): 0.022202667399853832074,
+    (-1.0, 0.3, 64, 1, 1): 0.032971838390656663735,
+    (-1.0, 0.3, 64, 63, 63): 0.032497077425852237848,
+    (-1.0, 0.3, 64, 1, 0): 0.026968783107838495045,
+    (-1.0, 0.3, 64, 63, 0): 0.0069863036826247867767,
+    (-1.0, 0.7, 16, 0, 0): 0.033939889787985056369,
+    (-1.0, 0.7, 16, 15, 15): 0.031788071568122267281,
+    (-1.0, 0.7, 16, 15, 0): 0.045624045565875125497,
+    (-1.0, 0.7, 64, 1, 1): 0.0062227607363367681238,
+    (-1.0, 0.7, 64, 63, 63): 0.0061460178715524211907,
+    (-1.0, 0.7, 64, 1, 0): 0.008760079614173382,
+    (-1.0, 0.7, 64, 63, 0): 0.013926147766244430307,
+    (-3.0, 0.1, 16, 0, 0): 0.13294806670542362211,
+    (-3.0, 0.1, 16, 15, 15): 0.10129511290854170811,
+    (-3.0, 0.1, 16, 15, 0): 0.00301852998454139877,
+    (-3.0, 0.1, 64, 1, 1): 0.050954645081229167489,
+    (-3.0, 0.1, 64, 63, 63): 0.047824743895785386927,
+    (-3.0, 0.1, 64, 1, 0): 0.041939812330342162428,
+    (-3.0, 0.1, 64, 63, 0): 0.0016892684475376891531,
+    (-3.0, 0.3, 16, 0, 0): 0.095830289864133012967,
+    (-3.0, 0.3, 16, 15, 15): 0.089781249661006723253,
+    (-3.0, 0.3, 16, 15, 0): 0.0011845180667878088186,
+    (-3.0, 0.3, 64, 1, 1): 0.03240958741165103452,
+    (-3.0, 0.3, 64, 63, 63): 0.031940583530428071117,
+    (-3.0, 0.3, 64, 1, 0): 0.025505465201144956987,
+    (-3.0, 0.3, 64, 63, 0): 0.00058340734371948395142,
+    (-3.0, 0.7, 16, 0, 0): 0.032103965440128685391,
+    (-3.0, 0.7, 16, 15, 15): 0.030069159745800968285,
+    (-3.0, 0.7, 16, 15, 0): 0.015118921228715707793,
+    (-3.0, 0.7, 64, 1, 1): 0.006135742135317793398,
+    (-3.0, 0.7, 64, 63, 63): 0.0060597994014046235306,
+    (-3.0, 0.7, 64, 1, 0): 0.0084318401337844299227,
+    (-3.0, 0.7, 64, 63, 0): 0.0047208748730824025793,
+    (-0.25, 0.1, 16, 0, 0): 0.14779018430416359728,
+    (-0.25, 0.1, 16, 15, 15): 0.11257389266403501865,
+    (-0.25, 0.1, 16, 15, 0): 0.069987989351495939473,
+    (-0.25, 0.1, 64, 1, 1): 0.052308334553685331941,
+    (-0.25, 0.1, 64, 63, 63): 0.049120862632295741863,
+    (-0.25, 0.1, 64, 1, 0): 0.045673278440775505045,
+    (-0.25, 0.1, 64, 63, 0): 0.03005461200361831667,
+    (-0.25, 0.3, 16, 0, 0): 0.10526915109741627349,
+    (-0.25, 0.3, 16, 15, 15): 0.098619554616874401887,
+    (-0.25, 0.3, 16, 15, 0): 0.051125793423839371152,
+    (-0.25, 0.3, 64, 1, 1): 0.033185926233695801375,
+    (-0.25, 0.3, 64, 63, 63): 0.032708980436967751339,
+    (-0.25, 0.3, 64, 1, 0): 0.027537822622032371113,
+    (-0.25, 0.3, 64, 63, 0): 0.015727279272122202967,
+    (-0.25, 0.7, 16, 0, 0): 0.034665886327114539731,
+    (-0.25, 0.7, 16, 15, 15): 0.032467789789367598547,
+    (-0.25, 0.7, 16, 15, 0): 0.076785596723963820367,
+    (-0.25, 0.7, 64, 1, 1): 0.0062558316777316392629,
+    (-0.25, 0.7, 64, 63, 63): 0.0061787855341510781278,
+    (-0.25, 0.7, 64, 1, 0): 0.0088869434440070745667,
+    (-0.25, 0.7, 64, 63, 0): 0.023336696349562600117,
+}
+
+# The same construction on the grids of TestAccumulatedOperatorMatrix:
+# F_fou at beta = -1 keyed (H, n, i, j), and diagonal entries of the graded
+# grids t_k = (k/32)^q keyed (q, H, beta, i).
+SMALL_GRID_ORACLE = {
+    (0.1, 1, 0, 0): 0.44179931602891364403,
+    (0.1, 2, 0, 0): 0.38460549553168224671,
+    (0.1, 2, 1, 0): 0.12938347623244853933,
+    (0.1, 2, 1, 1): 0.31241583979646510611,
+    (0.7, 1, 0, 0): 0.64118916500440260033,
+    (0.7, 2, 0, 0): 0.34053023712228368015,
+    (0.7, 2, 1, 0): 0.31832945742219907771,
+    (0.7, 2, 1, 1): 0.32285970758220352262,
+}
+GRADED_DIAG_ORACLE = {
+    (2, 0.1, -20.0, 1): 0.019561844456560108226,
+    (2, 0.1, -20.0, 31): 0.056140455084824283586,
+    (2, 0.1, 1.0, 1): 0.020303042758673233619,
+    (2, 0.1, 1.0, 31): 0.11701709002189662585,
+    (2, 0.3, -20.0, 1): 0.0085507090235226326401,
+    (2, 0.3, -20.0, 31): 0.0530633254374577261,
+    (2, 0.3, 1.0, 1): 0.0088447264905220987026,
+    (2, 0.3, 1.0, 31): 0.10166090388835998031,
+    (3, 0.1, -20.0, 1): 0.0043861801631672470215,
+    (3, 0.1, -20.0, 31): 0.053838386028494166551,
+    (3, 0.1, 1.0, 1): 0.0043981208023368261021,
+    (3, 0.1, 1.0, 31): 0.1510707419432274735,
+    (3, 0.3, -20.0, 1): 0.0010963134914955500157,
+    (3, 0.3, -20.0, 31): 0.056680292122271018834,
+    (3, 0.3, 1.0, 1): 0.0010990294453486867398,
+    (3, 0.3, 1.0, 31): 0.14126726992044299999,
+}
+
 
 class TestKappa:
     def test_half_is_one(self):
@@ -278,11 +428,23 @@ def _operator_matrix_all_tanh_sinh(spec, grid):
     return A
 
 
+def _regular_entries(n):
+    """Mask of the entries below the diagonal outside column 0: panels where
+    the kernel has no singularity."""
+    mask = np.tril(np.ones((n, n), dtype=bool), -1)
+    mask[:, 0] = False
+    return mask
+
+
 class TestOperatorMatrixPanelRule:
-    """operator_matrix (Gauss-Legendre on the interior panels) against the
-    all-tanh-sinh reference. Interior panels with fewer Gauss-Legendre points
-    miss this bound: 7e-11 relative with 6 points and 5e-14 with 8 (K_fbm,
-    H = 0.1, n = 16); 10 or more points give at most 6e-16."""
+    """operator_matrix against the all-tanh-sinh reference on its regular
+    entries, and against mpmath on the singular ones. Interior panels with
+    fewer Gauss-Legendre points miss the reference bound: 7e-11 relative with
+    6 points and 5e-14 with 8 (K_fbm, H = 0.1, n = 16); 10 or more points give
+    at most 6e-16. The reference clips its nodes at s <= t(1 - 1e-15) and
+    uses the coarse per-node rule on column 0, which costs it up to 5e-9 on
+    the diagonal and 1.5e-11 on column 0, so those entries are held against
+    OP_ORACLE instead."""
 
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
@@ -297,7 +459,48 @@ class TestOperatorMatrixPanelRule:
         g = TimeGrid.uniform(n)
         ref = _operator_matrix_all_tanh_sinh(spec, g)
         A = operator_matrix(spec, g)
-        assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
+        regular = _regular_entries(n)
+        assert np.max(np.abs(A - ref)[regular]) <= 1e-14 * np.max(np.abs(ref))
+        assert not A[~np.tril(np.ones((n, n), dtype=bool))].any()
+        checked = 0
+        for (b, h, m, i, j), value in OP_ORACLE.items():
+            if (b, h, m) == (spec.effective_beta, H, n):
+                ref_ij = spec.effective_xi * value
+                assert abs(A[i, j] - ref_ij) <= 1e-14 * ref_ij, (i, j)
+                checked += 1
+        assert checked >= 3
+
+
+class TestAccumulatedOperatorMatrix:
+    """Edge cases of the beta != 0 build, which carries each s-node's inner
+    integral from row to row: grids of one and two panels, graded grids
+    (panels of width ~n^{-q} next to s = 0), and rates beta = -20 and +1
+    whose factors e^{beta dt} neither overflow nor underflow."""
+
+    @pytest.mark.parametrize("H", [0.1, 0.7])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_panels(self, H, n):
+        A = operator_matrix(KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=-1.0), TimeGrid.uniform(n))
+        assert A.shape == (n, n)
+        for (h, m, i, j), value in SMALL_GRID_ORACLE.items():
+            if (h, m) == (H, n):
+                assert abs(A[i, j] - value) <= 1e-14 * value, (i, j)
+
+    @pytest.mark.parametrize("beta", [-20.0, 1.0])
+    @pytest.mark.parametrize("H", [0.1, 0.3])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_graded_grid(self, q, H, beta):
+        n = 32
+        t = (np.arange(1, n + 1) / n) ** q
+        grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(np.concatenate([[0.0], t]))))
+        spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta)
+        A = operator_matrix(spec, grid)
+        assert np.all(np.isfinite(A))
+        ref = _operator_matrix_all_tanh_sinh(spec, grid)
+        assert np.max(np.abs(A - ref)[_regular_entries(n)]) <= 1e-13 * np.max(np.abs(ref))
+        for i in (1, 31):
+            value = GRADED_DIAG_ORACLE[(q, H, beta, i)]
+            assert abs(A[i, i] - value) <= 1e-14 * value
 
 
 class TestGramMatrix:

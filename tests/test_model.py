@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import logsumexp
+from scipy.special import hyp2f1, logsumexp
 from scipy.stats import norm
 
 from fracldp import (
@@ -33,7 +33,7 @@ from fracldp import (
     uniform_law,
 )
 from fracldp import model
-from fracldp.kernels import _tanh_sinh_rule, eval_kernel_batch, fbm_covariance, operator_matrix
+from fracldp.kernels import _tanh_sinh_rule, fbm_covariance, kappa, operator_matrix
 from fracldp.paths import _by_parts_matrix, make_rng
 
 
@@ -319,15 +319,18 @@ def _joint_bm_fbm_covariance(H, t):
 def _cross_block_nested_quadrature(H, t):
     """Cov(B_ti, W^H_tj) = int_0^min(ti,tj) K^H(tj, u) du by a tanh-sinh rule
     on the whole interval: the construction the operator-matrix row-cumsum
-    replaced, kept as an oracle."""
-    spec = KernelSpec(KernelKind.K_FBM, HurstParams(H))
-    q, _, jac = _tanh_sinh_rule(0.05, 80)
+    replaced, kept as an oracle. The kernel is evaluated from (tj, w = tj - u)
+    as kappa w^hm 2F1(hm, -hm; H+1/2; -w/u), with w = (tj - m) + m (1 - q)
+    formed without cancellation, so the (tj - u)^hm endpoint is kept whole."""
+    hm = H - 0.5
+    q, qc, jac = _tanh_sinh_rule(0.05, 80)
     cross = np.empty((t.size, t.size))
     for i in range(t.size):
-        m = np.minimum(t[i], t)
-        u = np.clip(m[:, None] * q[None, :], 1e-300, t[:, None] * (1.0 - 1e-15))
-        kv = eval_kernel_batch(spec, np.broadcast_to(t[:, None], u.shape), u)
-        cross[i, :] = m * np.sum(jac * kv, axis=1)
+        m = np.minimum(t[i], t)[:, None]
+        u = m * q
+        w = (t[:, None] - m) + m * qc
+        kv = kappa(H) * w ** hm * hyp2f1(hm, -hm, H + 0.5, -w / u)
+        cross[i, :] = m[:, 0] * np.sum(jac * kv, axis=1)
     return cross
 
 
@@ -343,17 +346,18 @@ CROSS_DIAG_ORACLE = {
 
 class TestJointCovariance:
     """Joint law of (B, W^H) on the fine grid of the H != 1/2 simulation,
-    and the factor of (Wbar, W^H) drawn from it. Tolerances of the cross
-    block are looser at H = 0.1: the panel quadrature of the rough kernel's
-    (t-s)^{H-1/2} endpoint reaches ~4e-10 relative there."""
+    and the factor of (Wbar, W^H) drawn from it. The diagonal panels of the
+    K^H operator matrix are exact to roundoff at every H (incomplete-beta
+    form, no clipped nodes), so the cross block holds 1e-13 even at H = 0.1,
+    where clipping nodes at s <= t(1 - 1e-15) had cost ~4e-10 relative."""
 
-    @pytest.mark.parametrize("H, tol", [(0.1, 1e-10), (0.3, 1e-12), (0.7, 1e-12)])
+    @pytest.mark.parametrize("H, tol", [(0.1, 1e-13), (0.3, 1e-12), (0.7, 1e-12)])
     def test_cross_block_matches_nested_quadrature(self, H, tol):
         t = TimeGrid.uniform(16).t
         cross = _joint_bm_fbm_covariance(H, t)[:16, 16:]
         assert np.max(np.abs(cross - _cross_block_nested_quadrature(H, t))) <= tol
 
-    @pytest.mark.parametrize("H, tol", [(0.1, 1e-9), (0.3, 1e-12), (0.7, 1e-12)])
+    @pytest.mark.parametrize("H, tol", [(0.1, 1e-13), (0.3, 1e-12), (0.7, 1e-12)])
     def test_cross_diagonal_homogeneous(self, H, tol):
         t = TimeGrid.uniform(16).t
         cross = _joint_bm_fbm_covariance(H, t)[:16, 16:]
