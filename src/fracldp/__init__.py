@@ -26,7 +26,6 @@ from .paths import (
     GaussianPathBatch,
     fbm_covariance,
     fbm_covariance_matrix,
-    fou_covariance,
     make_rng,
     sample_fbm,
     sample_fou,
@@ -53,6 +52,7 @@ from .model import (
     point_law,
     sample_initial,
     simulate,
+    tail_estimate,
     tail_probability,
     uniform_law,
 )

@@ -37,8 +37,7 @@ from .model import (
     VolKind,
     check_scaling_assumption,
     check_theta_assumption,
-    simulate,
-    tail_probability,
+    tail_estimate,
 )
 from .rates import (
     KernelKind,
@@ -340,8 +339,7 @@ def _cmd_simulate(cfg: dict, outdir: str) -> int:
     rows = []
     for i, eps in enumerate(ladder):
         rng = np.random.default_rng(children[i])
-        xb, _ = simulate(params, law, scheme, eps, grid, n_paths, rng)
-        est = tail_probability(xb, level, grid.t[-1])
+        est = tail_estimate(params, law, scheme, eps, grid, n_paths, rng, level)
         h = scheme.speed(eps, params.hurst.H)
         hlp = h * math.log(est.p_hat) if est.p_hat > 0 else None
         rows.append([_fmt(eps), _fmt(level), _fmt(est.p_hat), _fmt(est.std_err),

@@ -374,6 +374,14 @@ def _diagonal_panels(H: float, beta: float, xi: float, edges: np.ndarray) -> np.
     return xi * kappa(H) * (head + np.sum(dt * jac * inner, axis=1))
 
 
+def _near_origin(edges: np.ndarray) -> np.ndarray:
+    """Mask of the panels (edges[j], edges[j+1]) whose left end lies within
+    half their width of s = 0. The kernel's s^{-(H-1/2)} factor is too close
+    to those for Gauss-Legendre, so their s-integrals take the tanh-sinh
+    rule: panel 0 on a uniform grid, the first few on a graded one."""
+    return edges[:-1] < 0.5 * np.diff(edges)
+
+
 def _accumulated_operator_matrix(H: float, beta: float, xi: float, edges: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of the beta != 0, H != 1/2 operator matrix.
 
@@ -394,8 +402,9 @@ def _accumulated_operator_matrix(H: float, beta: float, xi: float, edges: np.nda
     gam, g, c, lead = _volterra_factors(H, beta)
     q, _, jac = _tanh_sinh_rule(0.06, 64)
     x, wx = _gauss_legendre_rule(16)
+    near = _near_origin(edges)
     # the last panel is only ever a diagonal one, so it needs no s-nodes
-    rules = [(q, jac) if edges[j] < 0.5 * dt[j] else (x, wx) for j in range(n - 1)]
+    rules = [(q, jac) if near[j] else (x, wx) for j in range(n - 1)]
     s = np.concatenate([np.empty(0)] + [edges[j] + dt[j] * r for j, (r, _) in enumerate(rules)])
     ws = np.concatenate([np.empty(0)] + [dt[j] * w for j, (_, w) in enumerate(rules)])
     weight = xi * kappa(H) * c * np.power(s, -hm) * ws
@@ -424,11 +433,11 @@ def operator_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
       beta in s, tanh-sinh in u; no clipping).
     - beta_eff != 0, H != 1/2: the off-diagonal entries come from
       _accumulated_operator_matrix, O(n^2) work per s-node set.
-    - Otherwise (closed-form kernel) row i integrates panel 0 (s -> 0, the
-      s^{-(H-1/2)} factor) with the tanh-sinh rule and the smooth panels
-      1..i-1 with a 16-point Gauss-Legendre rule, all nodes of a row in one
-      eval_kernel_batch call; at H = 1/2 the diagonal panel i is a tanh-sinh
-      panel of that call as well.
+    - Otherwise (closed-form kernel) row i integrates the panels near
+      s = 0 (_near_origin: the s^{-(H-1/2)} factor) with the tanh-sinh rule
+      and the other panels below i with a 16-point Gauss-Legendre rule, all
+      nodes of a row in one eval_kernel_batch call; at H = 1/2 the diagonal
+      panel i is a tanh-sinh panel of that call as well.
     """
     key = _cache_key("op", spec, grid)
     if key in _matrix_cache:
@@ -450,24 +459,26 @@ def operator_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     else:
         q, _, jac = _tanh_sinh_rule(0.06, 64)
         x, wx = _gauss_legendre_rule(16)
+        near = _near_origin(edges)
         for i in range(n):
             ti = t[i]
             lo = edges[: i + 1]
             span = edges[1 : i + 2] - lo
-            # panel 0 (s -> 0) and the diagonal panel i (s -> ti) hold the
-            # kernel's singularities; every panel between them is smooth
-            sing = ([0] if i else []) + ([i] if H == 0.5 else [])
+            # the panels near s = 0 and, at H = 1/2, the diagonal panel i
+            # (s -> ti) take the tanh-sinh rule; the panels between are smooth
+            sing = np.flatnonzero(near[:i]).tolist() + ([i] if H == 0.5 else [])
             if not sing:
                 continue
+            mid = np.flatnonzero(~near[:i])
             s_sing = lo[sing, None] + span[sing, None] * q[None, :]
             # keep strictly inside (0, ti)
             s_sing = np.clip(s_sing, 1e-300, ti * (1.0 - 1e-15))
-            s_mid = lo[1:i, None] + span[1:i, None] * x[None, :]
+            s_mid = lo[mid, None] + span[mid, None] * x[None, :]
             vals = eval_kernel_batch(spec, ti, np.concatenate([s_sing.ravel(), s_mid.ravel()]))
             v_sing = vals[: s_sing.size].reshape(s_sing.shape)
             v_mid = vals[s_sing.size :].reshape(s_mid.shape)
             A[i, sing] = np.sum(span[sing, None] * jac[None, :] * v_sing, axis=1)
-            A[i, 1:i] = np.sum(span[1:i, None] * wx[None, :] * v_mid, axis=1)
+            A[i, mid] = np.sum(span[mid, None] * wx[None, :] * v_mid, axis=1)
     if H != 0.5:
         A[np.diag_indices(n)] = _diagonal_panels(H, beta, xi, edges)
     _matrix_cache[key] = A

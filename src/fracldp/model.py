@@ -418,9 +418,16 @@ _joint_chol_cache: dict = {}
 
 # Rows per block of _simulate_general. Part of the seed layout: block b
 # draws from the b-th child stream, so changing this changes the paths for a
-# given seed. Small enough that a block's (rows, 2m) arrays ((rows, n + m)
-# at rho = 0) stay in cache.
+# given seed. Each worker thread reuses one block's arrays, so this also
+# bounds the memory a tail estimate at H != 1/2 holds.
 _ROW_BLOCK = 2048
+
+# Fine-grid steps of the H != 1/2 simulation over (0, T].
+_N_FINE = 128
+
+# Paths per simulate call when tail_estimate runs at H = 1/2, where each
+# step draws whole (n_paths,) columns. Part of that seed layout.
+_H_HALF_CHUNK = 200_000
 
 # Threads that run those blocks; not part of the seed layout.
 try:
@@ -466,7 +473,7 @@ def simulate(
     n_paths: int,
     seed,
     allow_coarse: bool = False,
-    n_fine: int = 128,
+    n_fine: int = _N_FINE,
 ):
     """Simulate the rescaled pair (X^eps, Y^eps) on the grid.
 
@@ -483,6 +490,27 @@ def simulate(
     Euler sum over the panel's fine steps.
     Returns (x_batch, y_batch) as GaussianPathBatch objects.
     """
+    rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, seed, allow_coarse)
+    if params.hurst.H == 0.5:
+        x, y = _simulate_h_half(params, grid, n_paths, rng, theta, *coefs, svol)
+    else:
+        x = np.empty((n_paths, grid.n))
+        y = np.empty((n_paths, grid.n))
+
+        def store(lo, hi, xb, yb):
+            x[lo:hi] = xb
+            y[lo:hi] = yb
+
+        _simulate_general(params, grid, n_paths, rng, theta, *coefs, svol, n_fine, store)
+    s = seed if isinstance(seed, int) else 0
+    return GaussianPathBatch(values=x, grid=grid, seed=s), GaussianPathBatch(values=y, grid=grid, seed=s)
+
+
+def _prepare(params, law, scheme, eps, grid, n_paths, seed, allow_coarse):
+    """Checks and set-up shared by simulate and tail_estimate. Returns the
+    generator, Theta (its first draws), the scheme coefficients (beta_eff,
+    start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef) and
+    the vol coefficient."""
     if grid.n < 16 and not allow_coarse:
         raise DomainError("grid has fewer than 16 nodes; pass allow_coarse=True to override")
     for msg in scheme.check_b(params.hurst.H):
@@ -491,22 +519,10 @@ def simulate(
     beta_eff, start_scale, lam_scale, noise_scale, drift_coef, xnoise_coef = _scheme_coefficients(
         params, scheme, eps
     )
-    svol = _vol_coefficient(params, scheme, eps)
     theta = law.resolve(params).sample(n_paths, rng)
     lam_term_coef = -lam_scale * params.lam / params.beta
-
-    if params.hurst.H == 0.5:
-        x, y = _simulate_h_half(
-            params, grid, n_paths, rng, theta, beta_eff, start_scale, lam_term_coef,
-            noise_scale, drift_coef, xnoise_coef, svol,
-        )
-    else:
-        x, y = _simulate_general(
-            params, grid, n_paths, rng, theta, beta_eff, start_scale, lam_term_coef,
-            noise_scale, drift_coef, xnoise_coef, svol, n_fine,
-        )
-    s = seed if isinstance(seed, int) else 0
-    return GaussianPathBatch(values=x, grid=grid, seed=s), GaussianPathBatch(values=y, grid=grid, seed=s)
+    coefs = (beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef)
+    return rng, theta, coefs, _vol_coefficient(params, scheme, eps)
 
 
 def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
@@ -548,8 +564,9 @@ def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
 
 
 def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
-                      lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol, n_fine):
-    """Fine-grid simulation for H != 1/2.
+                      lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol, n_fine,
+                      sink, terminal=False):
+    """Fine-grid simulation for H != 1/2, handed to `sink` block by block.
 
     Paths are simulated in blocks of _ROW_BLOCK rows (the last block is
     shorter). Block b draws one array of standard normals Z from the b-th
@@ -559,7 +576,7 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     one GEMM with noise_scale * F [U, L22] (F the by-parts fOU map, [U, L22]
     the W^H rows of the factor of _joint_bm_fbm_cholesky) that gives the Y
     noise. X's increments are summed over each coarse panel through the 0/1
-    fine-step -> panel matrix P and cumulated over the n coarse nodes.
+    fine-step -> panel matrix P and cumulated over the panels.
 
     rho != 0: Z is (rows, 2m); its first m columns give the Euler driver's
     increments dWbar_k = sqrt(dt_k) Z_k, and the fine Euler increments
@@ -570,12 +587,20 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     of Euler increments is exactly Gaussian, with mean sum drift_k s_k^2 and
     variance sum dw_coef_k^2 s_k^2 over its fine steps. Z is (rows, n + m);
     one GEMM of s^2 with [drift P | dw_coef^2 P] gives (mean | var), and the
-    panel increment is mean + sqrt(var) Z_j for the first n columns.
+    panel increment is mean + sqrt(var) Z_j for the first n columns. With
+    `terminal` the only panel is (0, T]: Z is (rows, 1 + m) and X_T is
+    drawn from one normal per path.
 
-    Blocks write disjoint rows and run on up to _WORKERS threads (numpy's
-    RNG fill, BLAS and ufuncs release the GIL); the worker count does not
-    change the result. A Tabulated vol's user callables therefore run on
-    worker threads, concurrently.
+    Block b calls sink(lo, hi, x, y) with rows lo:hi of X and Y at the grid
+    nodes. With `terminal`, x's last column is X_T (its only one at rho = 0)
+    and y is None. Both are the worker's own arrays, which its next block
+    overwrites, so the sink copies or reduces them before it returns.
+
+    Blocks run on up to _WORKERS threads, worker w taking blocks w,
+    w + workers, ... and writing every step into arrays it allocates once
+    (numpy's RNG fill, BLAS and ufuncs release the GIL). The worker count
+    does not change the result. The sink, and a Tabulated vol's user
+    callables, therefore run on worker threads, concurrently.
     """
     H = params.hurst.H
     t_coarse = grid.t
@@ -587,56 +612,70 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     dtf = np.diff(t_fine, prepend=0.0)
     dw_coef = xnoise_coef * np.sqrt(dtf)
     drift = drift_coef * dtf
-    # P[k, j] = 1 when fine step k, (t_fine[k-1], t_fine[k]], lies in coarse panel j
-    P = (np.searchsorted(t_coarse, t_fine)[:, None] == np.arange(n)).astype(float)
+    pathwise = params.rho != 0.0
+    # P[k, j] = 1 when fine step k, (t_fine[k-1], t_fine[k]], lies in panel j
+    if terminal and not pathwise:
+        P = np.ones((m, 1))
+    else:
+        P = (np.searchsorted(t_coarse, t_fine)[:, None] == np.arange(n)).astype(float)
+    nx = P.shape[1]
     # Z's first `width - m` columns drive X; the columns from `first` on give
     # the Y noise through the W^H rows LW of the factor
-    pathwise = params.rho != 0.0
     if pathwise:
         width, first, LW = 2 * m, 0, L[m:]
     else:
-        width, first, LW = n + m, n, L[m:, m:]
+        width, first, LW = nx + m, nx, L[m:, m:]
         MV = np.hstack([drift[:, None] * P, (dw_coef * dw_coef)[:, None] * P])
     MT = (noise_scale * _by_parts_matrix(t_fine, beta_eff) @ LW).T
     # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
     ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
     y_start = start_scale * ebt
     y_lam = lam_term_coef * (1.0 - ebt)
-    gather = np.searchsorted(t_fine, t_coarse)
-    x = np.empty((n_paths, n))
-    y = np.empty((n_paths, n))
+    gather = np.searchsorted(t_fine, t_coarse) + 1
     nb = -(-n_paths // _ROW_BLOCK)
     streams = rng.spawn(nb)
-
-    def run_block(b):
-        lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
-        Z = streams[b].standard_normal((hi - lo, width))
-        yb = theta[lo:hi, None] * y_start + y_lam
-        yb[:, 1:] += Z[:, first:] @ MT
-        sv = svol(yb[:, :-1])
-        if pathwise:
-            # Euler X on the fine grid, in place over the Wbar columns of Z
-            dx = Z[:, :m]
-            dx *= dw_coef
-            dx += drift * sv
-            dx *= sv
-            dx = dx @ P
-        else:
-            mv = (sv * sv) @ MV
-            dx = Z[:, :n]
-            dx *= np.sqrt(mv[:, n:])
-            dx += mv[:, :n]
-        np.cumsum(dx, axis=1, out=x[lo:hi])
-        y[lo:hi] = yb[:, gather + 1]
-
     workers = min(nb, _WORKERS)
+
+    def work(w):
+        R = min(n_paths, _ROW_BLOCK)
+        Z_w = np.empty((R, width))
+        y_w = np.empty((R, m + 1))
+        # the Y noise, then s^2 (rho = 0) or drift * s (rho != 0)
+        f_w = np.empty((R, m))
+        # (mean | var) at rho = 0, the panel sums dx @ P otherwise
+        d_w = np.empty((R, nx if pathwise else 2 * nx))
+        x_w = np.empty((R, nx))
+        g_w = None if terminal else np.empty((R, n))
+        for b in range(w, nb, workers):
+            lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
+            r = hi - lo
+            Z, yb, f, d, x = Z_w[:r], y_w[:r], f_w[:r], d_w[:r], x_w[:r]
+            streams[b].standard_normal(out=Z)
+            np.multiply(theta[lo:hi, None], y_start, out=yb)
+            yb += y_lam
+            yb[:, 1:] += np.matmul(Z[:, first:], MT, out=f)
+            # a view of yb for a Linear vol, so yb is only read from here on
+            sv = svol(yb[:, :-1])
+            if pathwise:
+                # Euler X on the fine grid, in place over the Wbar columns of Z
+                dx = Z[:, :m]
+                dx *= dw_coef
+                dx += np.multiply(sv, drift, out=f)
+                dx *= sv
+                dx = np.matmul(dx, P, out=d)
+            else:
+                np.matmul(np.multiply(sv, sv, out=f), MV, out=d)
+                dx = Z[:, :nx]
+                dx *= np.sqrt(d[:, nx:], out=d[:, nx:])
+                dx += d[:, :nx]
+            np.cumsum(dx, axis=1, out=x)
+            sink(lo, hi, x, None if terminal else np.take(yb, gather, axis=1, out=g_w[:r]))
+
     if workers == 1:
-        for b in range(nb):
-            run_block(b)
+        work(0)
     else:
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run_block, range(nb)))
-    return x, y
+            list(pool.map(work, range(workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +700,51 @@ def tail_probability(batch: GaussianPathBatch, level: float, node: float) -> MCE
     )
 
 
+def tail_estimate(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, eps: float,
+                  grid: TimeGrid, n_paths: int, seed, level: float) -> MCEstimate:
+    """P(X^eps_T >= level) at the last grid node T, with binomial standard
+    error, from n_paths simulated paths that are never held all at once.
+
+    H != 1/2: the block workers of the fine-grid simulation reduce each block
+    to its count of hits, so at most one _ROW_BLOCK-row block per worker is
+    in memory. With rho != 0 the blocks draw and compute as `simulate` does,
+    and the count equals the count on simulate's X_T for the same seed. With
+    rho = 0, X_T given the vol path is exactly
+    N(sum_k drift_k s_k^2, sum_k dw_coef_k^2 s_k^2) over all fine steps, so
+    each path draws one normal for X_T and m for W^H: simulate's law of X_T
+    with a different random layout.
+    H = 1/2: `simulate` runs on consecutive chunks of _H_HALF_CHUNK paths
+    drawn from the same generator.
+    """
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
+    rng = make_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    if params.hurst.H == 0.5:
+        count = 0
+        for lo in range(0, n_paths, _H_HALF_CHUNK):
+            xb, _ = simulate(params, law, scheme, eps, grid, min(_H_HALF_CHUNK, n_paths - lo), rng)
+            count += int(np.count_nonzero(xb.values[:, -1] >= level))
+    else:
+        rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, rng, False)
+        # one slot per block: workers never write the same one
+        hits = np.zeros(-(-n_paths // _ROW_BLOCK), dtype=np.int64)
+
+        def count_hits(lo, hi, x, _):
+            hits[lo // _ROW_BLOCK] = np.count_nonzero(x[:, -1] >= level)
+
+        _simulate_general(params, grid, n_paths, rng, theta, *coefs, svol, _N_FINE, count_hits,
+                          terminal=True)
+        count = int(hits.sum())
+    p = count / n_paths
+    return MCEstimate(
+        p_hat=p,
+        std_err=math.sqrt(p * (1.0 - p) / n_paths),
+        n_paths=n_paths,
+        seed=seed if isinstance(seed, int) else 0,
+        event=f"X({grid.t[-1]}) >= {level}",
+    )
+
+
 @dataclass
 class SlopeFit:
     limit: float
@@ -674,14 +758,14 @@ class SlopeFit:
 
 
 def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
-              grid: Optional[TimeGrid] = None, chunk_size: int = 200_000) -> SlopeFit:
+              grid: Optional[TimeGrid] = None) -> SlopeFit:
     """Estimate lim h_eps log P(X^eps_1 >= level) by simulating along an
     eps ladder and extrapolating an affine fit in eps to eps = 0.
 
     The affine-in-eps fit form is pragmatic (the prefactor correction is not
     exactly affine); intercept and its standard error are reported. Ladder
-    point i draws from child stream i of the seed, as the CLI `simulate`
-    command does, in chunks of at most chunk_size paths.
+    point i is a `tail_estimate` on child stream i of the seed, as in the
+    CLI `simulate` command.
     """
     eps_ladder = list(eps_ladder)
     if len(eps_ladder) < 3:
@@ -693,23 +777,16 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     h_log_p, p_hats, std_errs, censored = [], [], [], []
     children = ss.spawn(len(eps_ladder))
     for i, eps in enumerate(eps_ladder):
-        count = 0
-        done = 0
-        child = np.random.default_rng(children[i])
-        while done < n_paths:
-            c = min(chunk_size, n_paths - done)
-            xb, _ = simulate(params, law, scheme, eps, grid, c, child)
-            count += int(np.sum(xb.values[:, -1] >= level))
-            done += c
-        p = count / n_paths
-        p_hats.append(p)
-        std_errs.append(math.sqrt(p * (1.0 - p) / n_paths))
-        if count == 0:
+        est = tail_estimate(params, law, scheme, eps, grid, n_paths,
+                            np.random.default_rng(children[i]), level)
+        p_hats.append(est.p_hat)
+        std_errs.append(est.std_err)
+        if est.p_hat == 0:
             censored.append(True)
             h_log_p.append(None)
         else:
             censored.append(False)
-            h_log_p.append(scheme.speed(eps, H) * math.log(p))
+            h_log_p.append(scheme.speed(eps, H) * math.log(est.p_hat))
     xs = np.array([e for e, c in zip(eps_ladder, censored) if not c])
     ys = np.array([v for v, c in zip(h_log_p, censored) if not c])
     if xs.size < 2:

@@ -5,8 +5,9 @@ Reproducibility contract: a 64-bit seed fully determines the batch for a
 given grid, path count and construction. The samplers here draw from one
 stream. Where work is split, each piece draws from its own child stream,
 spawned by index, so results do not depend on scheduling: the row blocks of
-`model.simulate` at H != 1/2, which run on a thread pool, and the ladder
-points of `model.ldp_slope` and of the CLI `simulate` command.
+`model.simulate` and `model.tail_estimate` at H != 1/2, which run on a
+thread pool, and the ladder points of `model.ldp_slope` and of the CLI
+`simulate` command.
 """
 
 from __future__ import annotations
@@ -96,11 +97,6 @@ def sample_fbm(H: float, grid: TimeGrid, n_paths: int, seed) -> GaussianPathBatc
     L = _stable_cholesky(fbm_covariance_matrix(H, grid))
     Z = rng.standard_normal((n_paths, grid.n))
     return GaussianPathBatch(values=Z @ L.T, grid=grid, seed=seed if isinstance(seed, int) else 0)
-
-
-def fou_covariance(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """Covariance of the centred Gaussian Volterra process: the Gram matrix."""
-    return gram_matrix(spec, grid)
 
 
 def sample_fou(

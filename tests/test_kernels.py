@@ -471,6 +471,23 @@ class TestOperatorMatrixPanelRule:
         assert checked >= 3
 
 
+    @pytest.mark.parametrize("kind", [KernelKind.K_FBM, KernelKind.G_ZERO])
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_graded_grid_closed_form(self, q, H, kind):
+        # beta_eff = 0 on (k/32)^q: besides panel 0, the next panels start
+        # within half their width of the s^{-(H-1/2)} singularity at 0, too
+        # close for Gauss-Legendre (4e-12 relative on column 1 at H = 0.1, q = 3).
+        # Each regular entry is held to 1e-14 of itself, so within 1e-14 * max.
+        n = 32
+        t = (np.arange(1, n + 1) / n) ** q
+        grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(np.concatenate([[0.0], t]))))
+        spec = KernelSpec(kind, HurstParams(H), xi=1.5)
+        A = operator_matrix(spec, grid)[_regular_entries(n)]
+        ref = _operator_matrix_all_tanh_sinh(spec, grid)[_regular_entries(n)]
+        assert np.all(np.abs(A - ref) <= 1e-14 * ref)
+
+
 class TestAccumulatedOperatorMatrix:
     """Edge cases of the beta != 0 build, which carries each s-node's inner
     integral from row to row: grids of one and two panels, graded grids

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ from fracldp import (
     check_scaling_assumption,
     check_theta_assumption,
     constant_vol,
-    fou_covariance,
     gaussian_law,
+    gram_matrix,
     ldp_slope,
     linear_vol,
     point_law,
     sample_initial,
     simulate,
+    tail_estimate,
     tail_probability,
     uniform_law,
 )
@@ -232,7 +234,7 @@ class TestSimulate:
         n = 40000
         _, yb = simulate(params, point_law(0.0), scheme, eps, g, n, seed=12)
         spec = KernelSpec(KernelKind.F_FOU, HurstParams(0.5), beta=-1.5, xi=1.0)
-        ref = fou_covariance(spec, g)  # noise enters at scale eps^b
+        ref = gram_matrix(spec, g)  # noise enters at scale eps^b
         scale = eps ** (2 * b)
         emp = yb.empirical_covariance()
         band = 5.0 * scale * np.sqrt((np.diag(ref)[:, None] * np.diag(ref)[None, :]
@@ -250,7 +252,7 @@ class TestSimulate:
         n = 30000
         _, yb = simulate(params, point_law(0.0), scheme, eps, g, n, seed=13)
         spec = KernelSpec(KernelKind.G_EPS, HurstParams(H), beta=-1.0, xi=1.0, eps=eps)
-        ref = fou_covariance(spec, g)
+        ref = gram_matrix(spec, g)
         scale = eps ** (2 * (2 * H + b))  # SmallTime Y noise is eps^{2H+b} xi
         emp = yb.empirical_covariance()
         band = 5.0 * scale * np.sqrt((np.diag(ref)[:, None] * np.diag(ref)[None, :]
@@ -542,6 +544,107 @@ class TestRoughSimulationLayout:
         (a, se_a), (b, se_b) = moments(x1[0.0]), moments(x1[1e-12])
         for u, w, su, sw in zip(a, b, se_a, se_b):
             assert abs(u - w) <= 5.0 * math.sqrt(su + sw)
+
+
+class TestTailEstimate:
+    """tail_estimate reduces each block of the H != 1/2 simulation to its
+    count of X_T >= level."""
+
+    def _args(self, rho, n_paths=2 * model._ROW_BLOCK + 37, H=0.3, n=16):
+        params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75), rho=rho)
+        return (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
+                TimeGrid.uniform(n), n_paths)
+
+    def test_rho_nonzero_count_equals_simulate(self):
+        # rho != 0 draws and computes as simulate does, so the counts agree exactly
+        args = self._args(rho=-0.4)
+        x1 = simulate(*args, seed=4)[0].values[:, -1]
+        for level in np.quantile(x1, [0.1, 0.5, 0.9]):
+            est = tail_estimate(*args, seed=4, level=level)
+            assert est.p_hat == np.count_nonzero(x1 >= level) / x1.size
+
+    def test_rho_zero_terminal_draw(self):
+        # at rho = 0 a block draws Z of shape (rows, 1 + m): X_T = mean +
+        # sqrt(var) Z_0 with (mean, var) summed over all m fine steps from the
+        # vol the simulation used; the counts at nine levels between its
+        # deciles must be exact
+        seen = []
+
+        def sigma(y):
+            out = 0.3 + np.sin(3.0 * y) ** 2
+            seen.append(out)
+            return out
+
+        b, eps, rows = 0.75, 0.5, 300
+        vol = model.VolFunction(kind="Tabulated", b=b, sigma_fn=sigma, sigma_tilde_fn=sigma)
+        params = ModelParams(beta=-1.3, xi=0.8, rho=0.0, hurst=HurstParams(0.3), vol=vol)
+        scheme = RescalingScheme(SchemeKind.TAILS, b=b)
+        grid = TimeGrid.uniform(16)
+        tail_estimate(params, point_law(0.1), scheme, eps, grid, rows, 6, 0.0)
+        sv2 = (eps**b * seen[0]) ** 2
+        # a Point law draws nothing, so block 0 reads child stream 0 of the seed
+        t_fine = np.linspace(0.0, 1.0, model._N_FINE + 1)[1:]
+        Z = make_rng(6).spawn(1)[0].standard_normal((rows, 1 + t_fine.size))
+        _, _, _, _, drift_coef, xnoise_coef = model._scheme_coefficients(params, scheme, eps)
+        dtf = np.diff(t_fine, prepend=0.0)
+        x_t = np.sort(drift_coef * sv2 @ dtf + np.sqrt(xnoise_coef**2 * sv2 @ dtf) * Z[:, 0])
+        for k in range(1, 10):
+            level = 0.5 * (x_t[30 * k - 1] + x_t[30 * k])
+            est = tail_estimate(params, point_law(0.1), scheme, eps, grid, rows, 6, level)
+            assert est.p_hat == (rows - 30 * k) / rows
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    def test_rho_zero_law_matches_simulate(self, H):
+        # the same law of X_T as simulate's, from a different random layout
+        n, level = 100_000, 0.3
+        params = ModelParams(beta=-1.0, xi=1.0, rho=0.0, hurst=HurstParams(H),
+                             vol=linear_vol(b=0.75))
+        args = (params, point_law(0.2), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
+                TimeGrid.uniform(16), n)
+        est = tail_estimate(*args, seed=31, level=level)
+        ref = tail_probability(simulate(*args, seed=32)[0], level, 1.0)
+        assert 0.01 < ref.p_hat < 0.99
+        assert abs(est.p_hat - ref.p_hat) <= 5.0 * math.sqrt(est.std_err**2 + ref.std_err**2)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.4])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_does_not_change_estimate(self, monkeypatch, workers, rho):
+        # two full blocks and a short one, as in the worker-count test of simulate
+        args = self._args(rho)
+        monkeypatch.setattr(model, "_WORKERS", 1)
+        ref = tail_estimate(*args, seed=4, level=-0.05)
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = tail_estimate(*args, seed=4, level=-0.05)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 0.05 < ref.p_hat < 0.95
+        assert got.p_hat == ref.p_hat
+
+    def test_memory_is_per_block(self, monkeypatch):
+        # (n_paths x n) arrays of X and Y would take 2 * 100k * 32 * 8 B = 51 MB;
+        # two workers hold one 2048-row block each (about 6 MB apiece) and Theta
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        args = self._args(rho=0.0, n_paths=100_000, n=32)
+        tracemalloc.start()
+        try:
+            tail_estimate(*args, seed=3, level=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6
+
+    def test_h_half_matches_chunked_simulate(self, monkeypatch):
+        # H = 1/2 runs simulate on consecutive chunks drawn from one generator
+        monkeypatch.setattr(model, "_H_HALF_CHUNK", 4)
+        args = self._args(rho=-0.4, n_paths=7, H=0.5)
+        rng = make_rng(5)
+        x1 = np.concatenate([simulate(*args[:5], c, rng)[0].values[:, -1] for c in (4, 3)])
+        level = float(np.median(x1))
+        est = tail_estimate(*args, seed=5, level=level)
+        assert est.p_hat == np.count_nonzero(x1 >= level) / 7
 
 
 class TestTailProbabilityAndSlope:

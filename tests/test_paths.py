@@ -12,7 +12,7 @@ from fracldp import (
     TimeGrid,
     fbm_covariance,
     fbm_covariance_matrix,
-    fou_covariance,
+    gram_matrix,
     make_rng,
     sample_fbm,
     sample_fou,
@@ -82,7 +82,7 @@ class TestSampleFou:
     def test_covariance_matches_gram(self):
         g = TimeGrid.uniform(5)
         spec = KernelSpec(KernelKind.F_FOU, HurstParams(0.7), beta=-1.0, xi=1.0)
-        ref = fou_covariance(spec, g)
+        ref = gram_matrix(spec, g)
         batch = sample_fou(0.7, -1.0, 1.0, g, 40000, seed=3)
         emp = batch.empirical_covariance()
         band = 4.0 * np.sqrt((np.diag(ref)[:, None] * np.diag(ref)[None, :]
@@ -95,7 +95,7 @@ class TestSampleFou:
         n = 30000
         for H in (0.3, 0.5):
             spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=-1.0, xi=1.0)
-            ref = fou_covariance(spec, g)
+            ref = gram_matrix(spec, g)
             batch = sample_fou(H, -1.0, 1.0, g, n, seed=4,
                                construction=FouConstruction.PRODUCT_RULE)
             emp = batch.empirical_covariance()
@@ -111,7 +111,7 @@ class TestSampleFou:
         m = np.minimum(t[:, None], t[None, :])
         ref = xi**2 * np.exp(beta * (t[:, None] + t[None, :])) * (
             np.expm1(-2.0 * beta * m) / (-2.0 * beta))
-        assert np.max(np.abs(fou_covariance(spec, g) - ref)) <= 1e-10
+        assert np.max(np.abs(gram_matrix(spec, g) - ref)) <= 1e-10
 
     def test_xi_zero(self):
         g = TimeGrid.uniform(4)
