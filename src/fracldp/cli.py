@@ -297,10 +297,9 @@ def _write_csv(path: str, header: list, rows: list):
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        # numpy 2 scalars repr as np.float64(...); a Python float reads back
+        return repr(float(x))
     return str(x)
 
 
@@ -325,6 +324,10 @@ def _cmd_kernels(cfg: dict, outdir: str) -> int:
 
 
 def _cmd_simulate(cfg: dict, outdir: str) -> int:
+    """simulate.csv: one row per eps of the ladder, with p_hat, the
+    `tail_estimate` of P(X^eps_T >= level); std_err, its standard error (the
+    conditional estimator's sample SE at H != 1/2 and rho = 0, binomial
+    otherwise); h_eps log p_hat (empty when p_hat = 0); n_paths and seed."""
     params = _build_model(cfg["model"])
     law = _build_law(cfg["law"])
     scheme = _build_scheme(cfg["scheme"])

@@ -425,8 +425,9 @@ _ROW_BLOCK = 2048
 # Fine-grid steps of the H != 1/2 simulation over (0, T].
 _N_FINE = 128
 
-# Paths per simulate call when tail_estimate runs at H = 1/2, where each
-# step draws whole (n_paths,) columns. Part of that seed layout.
+# Paths per chunk when tail_estimate runs at H = 1/2, where each step draws
+# whole (chunk,) columns. Part of that seed layout; a chunk holds about
+# eight such columns.
 _H_HALF_CHUNK = 200_000
 
 # Threads that run those blocks; not part of the seed layout.
@@ -477,7 +478,11 @@ def simulate(
 ):
     """Simulate the rescaled pair (X^eps, Y^eps) on the grid.
 
-    Y^eps is exact in law at the grid nodes. X^eps is Euler-Maruyama against
+    For H = 1/2, Y^eps is exact in law at the grid nodes. For H != 1/2 it is
+    exact up to the trapezoid by-parts map on the fine grid: with the default
+    m = 128 the largest error of its covariance at the grid nodes, relative
+    to the largest entry, is 7.5e-4 at H = 0.1, 9.4e-5 at H = 0.3 and 2.6e-5
+    at H = 0.7 (against m = 8192). X^eps is Euler-Maruyama against
     the increments of Wbar = rho B + rho_bar B', where B drives the
     volatility. For H = 1/2 the volatility integral uses the exact per-panel
     OU recursion. For H != 1/2, W^H is drawn on an internal fine grid of m
@@ -492,7 +497,10 @@ def simulate(
     """
     rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, seed, allow_coarse)
     if params.hurst.H == 0.5:
-        x, y = _simulate_h_half(params, grid, n_paths, rng, theta, *coefs, svol)
+        paths = []
+        _simulate_h_half(params, grid, n_paths, rng, theta, *coefs, svol,
+                         lambda lo, hi, xb, yb: paths.append((xb, yb)))
+        ((x, y),) = paths
     else:
         x = np.empty((n_paths, grid.n))
         y = np.empty((n_paths, grid.n))
@@ -526,17 +534,29 @@ def _prepare(params, law, scheme, eps, grid, n_paths, seed, allow_coarse):
 
 
 def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
-                     lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol):
+                     lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol, sink,
+                     terminal=False):
+    """Exact per-panel OU recursion for H = 1/2, handed to `sink` once.
+
+    Each grid step draws three (n_paths,) columns of standard normals from
+    `rng`, in this order: the Brownian increment of the vol driver B, the
+    independent B', and the OU integral's part orthogonal to dB. X and Y are
+    advanced as running (n_paths,) vectors, every step in place.
+
+    Calls sink(0, n_paths, x, y) with X and Y at the grid nodes, each
+    (n_paths, n). With `terminal` no (n_paths, n) array is built: x is X_T as
+    an (n_paths, 1) view and y is None.
+    """
     t = grid.t
-    edges = np.concatenate([[0.0], t])
-    dt = np.diff(edges)
+    dt = np.diff(t, prepend=0.0)
     n = grid.n
     rho, rho_bar = params.rho, params.rho_bar
-    x = np.zeros((n_paths, n))
-    y = np.zeros((n_paths, n))
+    x = None if terminal else np.empty((n_paths, n))
+    y = None if terminal else np.empty((n_paths, n))
     z = np.zeros(n_paths)  # exact OU integral int_0^t e^{beta_eff(t-u)} dW_u
     xk = np.zeros(n_paths)
     yk = start_scale * theta  # Y at time 0
+    dw, dwbar, ik, tmp = (np.empty(n_paths) for _ in range(4))
     for k in range(n):
         d = dt[k]
         if abs(beta_eff) > 1e-14:
@@ -548,19 +568,36 @@ def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
         a = cov / d
         c2 = var_i - cov * cov / d
         c = math.sqrt(max(c2, 0.0))
-        dw = math.sqrt(d) * rng.standard_normal(n_paths)
-        dwp = math.sqrt(d) * rng.standard_normal(n_paths)
-        ik = a * dw + c * rng.standard_normal(n_paths)
+        for buf in (dw, dwbar, ik):
+            rng.standard_normal(out=buf)
+        dw *= math.sqrt(d)
+        dwbar *= math.sqrt(d)
+        # dwbar = rho dw + rho_bar dw', then ik = a dw + c N(0, 1)
+        dwbar *= rho_bar
+        dwbar += np.multiply(dw, rho, out=tmp)
+        ik *= c
+        ik += np.multiply(dw, a, out=dw)
         s_val = svol(yk)
-        dwbar = rho * dw + rho_bar * dwp
-        xk = xk + drift_coef * s_val * s_val * d + xnoise_coef * s_val * dwbar
-        z = ebd * z + ik
-        tk = t[k]
-        ebt = math.exp(beta_eff * tk)
-        yk = start_scale * theta * ebt + lam_term_coef * (1.0 - ebt) + noise_scale * z
-        x[:, k] = xk
-        y[:, k] = yk
-    return x, y
+        # xk += drift s^2 d + xnoise s dwbar, s the vol at the panel's left end
+        np.multiply(s_val, drift_coef, out=tmp)
+        tmp *= s_val
+        tmp *= d
+        xk += tmp
+        np.multiply(s_val, xnoise_coef, out=tmp)
+        tmp *= dwbar
+        xk += tmp
+        z *= ebd
+        z += ik
+        # s_val may be a view of yk; it is not read from here on
+        ebt = math.exp(beta_eff * t[k])
+        np.multiply(theta, start_scale, out=yk)
+        yk *= ebt
+        yk += lam_term_coef * (1.0 - ebt)
+        yk += np.multiply(z, noise_scale, out=tmp)
+        if not terminal:
+            x[:, k] = xk
+            y[:, k] = yk
+    sink(0, n_paths, xk[:, None] if terminal else x, y)
 
 
 def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
@@ -588,12 +625,14 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     variance sum dw_coef_k^2 s_k^2 over its fine steps. Z is (rows, n + m);
     one GEMM of s^2 with [drift P | dw_coef^2 P] gives (mean | var), and the
     panel increment is mean + sqrt(var) Z_j for the first n columns. With
-    `terminal` the only panel is (0, T]: Z is (rows, 1 + m) and X_T is
-    drawn from one normal per path.
+    `terminal` the only panel is (0, T] and no X normal is drawn: Z is
+    (rows, m), and the block ends at each path's (mean | var), the exact
+    conditional law N(mean, var) of X_T given its vol path.
 
     Block b calls sink(lo, hi, x, y) with rows lo:hi of X and Y at the grid
-    nodes. With `terminal`, x's last column is X_T (its only one at rho = 0)
-    and y is None. Both are the worker's own arrays, which its next block
+    nodes. With `terminal` y is None, and x is the (rows, n) X at rho != 0
+    (its last column X_T) but the (rows, 2) array (mean | var) of X_T at
+    rho = 0. These are the worker's own arrays, which its next block
     overwrites, so the sink copies or reduces them before it returns.
 
     Blocks run on up to _WORKERS threads, worker w taking blocks w,
@@ -613,8 +652,10 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     dw_coef = xnoise_coef * np.sqrt(dtf)
     drift = drift_coef * dtf
     pathwise = params.rho != 0.0
+    # at rho = 0 with `terminal`, a block ends at X_T's conditional moments
+    moments = terminal and not pathwise
     # P[k, j] = 1 when fine step k, (t_fine[k-1], t_fine[k]], lies in panel j
-    if terminal and not pathwise:
+    if moments:
         P = np.ones((m, 1))
     else:
         P = (np.searchsorted(t_coarse, t_fine)[:, None] == np.arange(n)).astype(float)
@@ -624,7 +665,9 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     if pathwise:
         width, first, LW = 2 * m, 0, L[m:]
     else:
-        width, first, LW = nx + m, nx, L[m:, m:]
+        # one normal per panel for X, none when the sink takes X_T's moments
+        first = 0 if moments else nx
+        width, LW = first + m, L[m:, m:]
         MV = np.hstack([drift[:, None] * P, (dw_coef * dw_coef)[:, None] * P])
     MT = (noise_scale * _by_parts_matrix(t_fine, beta_eff) @ LW).T
     # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
@@ -644,12 +687,12 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
         f_w = np.empty((R, m))
         # (mean | var) at rho = 0, the panel sums dx @ P otherwise
         d_w = np.empty((R, nx if pathwise else 2 * nx))
-        x_w = np.empty((R, nx))
+        x_w = None if moments else np.empty((R, nx))
         g_w = None if terminal else np.empty((R, n))
         for b in range(w, nb, workers):
             lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
             r = hi - lo
-            Z, yb, f, d, x = Z_w[:r], y_w[:r], f_w[:r], d_w[:r], x_w[:r]
+            Z, yb, f, d = Z_w[:r], y_w[:r], f_w[:r], d_w[:r]
             streams[b].standard_normal(out=Z)
             np.multiply(theta[lo:hi, None], y_start, out=yb)
             yb += y_lam
@@ -665,10 +708,13 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
                 dx = np.matmul(dx, P, out=d)
             else:
                 np.matmul(np.multiply(sv, sv, out=f), MV, out=d)
+                if moments:
+                    sink(lo, hi, d, None)
+                    continue
                 dx = Z[:, :nx]
                 dx *= np.sqrt(d[:, nx:], out=d[:, nx:])
                 dx += d[:, :nx]
-            np.cumsum(dx, axis=1, out=x)
+            x = np.cumsum(dx, axis=1, out=x_w[:r])
             sink(lo, hi, x, None if terminal else np.take(yb, gather, axis=1, out=g_w[:r]))
 
     if workers == 1:
@@ -702,47 +748,102 @@ def tail_probability(batch: GaussianPathBatch, level: float, node: float) -> MCE
 
 def tail_estimate(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, eps: float,
                   grid: TimeGrid, n_paths: int, seed, level: float) -> MCEstimate:
-    """P(X^eps_T >= level) at the last grid node T, with binomial standard
-    error, from n_paths simulated paths that are never held all at once.
+    """P(X^eps_T >= level) at the last grid node T, with its standard error,
+    from n_paths simulated paths that are never held all at once. p_hat and
+    std_err are Python floats.
 
-    H != 1/2: the block workers of the fine-grid simulation reduce each block
-    to its count of hits, so at most one _ROW_BLOCK-row block per worker is
-    in memory. With rho != 0 the blocks draw and compute as `simulate` does,
-    and the count equals the count on simulate's X_T for the same seed. With
-    rho = 0, X_T given the vol path is exactly
-    N(sum_k drift_k s_k^2, sum_k dw_coef_k^2 s_k^2) over all fine steps, so
-    each path draws one normal for X_T and m for W^H: simulate's law of X_T
-    with a different random layout.
-    H = 1/2: `simulate` runs on consecutive chunks of _H_HALF_CHUNK paths
-    drawn from the same generator.
+    H != 1/2 and rho = 0: conditional Monte Carlo. Given its vol path, X_T
+    is exactly N(mean, var) with mean = sum_k drift_k s_k^2 and
+    var = sum_k dw_coef_k^2 s_k^2 over the fine steps, so each path
+    contributes q = P(X_T >= level | vol path) = ndtr((mean - level) /
+    sqrt(var)), or the indicator of mean >= level where var = 0, and draws
+    only its m W^H normals. p_hat, the mean of q, has the expectation of the
+    hit fraction on simulate's X_T and never a larger variance. std_err is
+    its sample standard error sqrt(sum_i (q_i - p_hat)^2) / n_paths. The
+    block workers keep, per block, sum q and the sum of squared deviations
+    from the block mean; the blocks are merged in block order by Chan's
+    pairwise update, so neither number depends on the worker count.
+
+    Elsewhere, crude Monte Carlo: p_hat is the fraction of paths with
+    X_T >= level and std_err the binomial sqrt(p_hat (1 - p_hat) / n_paths),
+    which is the same sample standard error for 0/1 values.
+    - H != 1/2, rho != 0: the blocks draw and compute as `simulate` does, and
+      the count equals the count on simulate's X_T for the same seed. Given
+      the vol path alone, X_T is not Gaussian with moments from that path:
+      Wbar = rho B + rho_bar B' shares B with W^H, so a conditional estimator
+      needs a factor of the drivers conditioned on B, which the joint
+      (Wbar, W^H) factor does not give.
+    - H = 1/2: the exact OU recursion runs on consecutive chunks of
+      _H_HALF_CHUNK paths from the same generator, with the draws of
+      `simulate` on those chunks, and keeps only a running X_T and Y per
+      path. It stays crude so that its results for a given seed, which
+      acceptance criteria 7 and 8 and `configs/simulate_tails.json` fix,
+      do not move.
+    `tail_probability` on simulate's paths is crude at every H.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     rng = make_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    if params.hurst.H == 0.5:
-        count = 0
-        for lo in range(0, n_paths, _H_HALF_CHUNK):
-            xb, _ = simulate(params, law, scheme, eps, grid, min(_H_HALF_CHUNK, n_paths - lo), rng)
-            count += int(np.count_nonzero(xb.values[:, -1] >= level))
+    if params.hurst.H != 0.5 and params.rho == 0.0:
+        p, se = _conditional_tail(params, law, scheme, eps, grid, n_paths, rng, level)
     else:
-        rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, rng, False)
-        # one slot per block: workers never write the same one
-        hits = np.zeros(-(-n_paths // _ROW_BLOCK), dtype=np.int64)
+        hits = []  # one count per block or chunk; list.append is atomic
 
         def count_hits(lo, hi, x, _):
-            hits[lo // _ROW_BLOCK] = np.count_nonzero(x[:, -1] >= level)
+            hits.append(int(np.count_nonzero(x[:, -1] >= level)))
 
-        _simulate_general(params, grid, n_paths, rng, theta, *coefs, svol, _N_FINE, count_hits,
-                          terminal=True)
-        count = int(hits.sum())
-    p = count / n_paths
+        if params.hurst.H == 0.5:
+            for lo in range(0, n_paths, _H_HALF_CHUNK):
+                rows = min(_H_HALF_CHUNK, n_paths - lo)
+                rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, rows, rng, False)
+                _simulate_h_half(params, grid, rows, rng, theta, *coefs, svol, count_hits,
+                                 terminal=True)
+        else:
+            rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, rng, False)
+            _simulate_general(params, grid, n_paths, rng, theta, *coefs, svol, _N_FINE,
+                              count_hits, terminal=True)
+        p = sum(hits) / n_paths
+        se = math.sqrt(p * (1.0 - p) / n_paths)
     return MCEstimate(
         p_hat=p,
-        std_err=math.sqrt(p * (1.0 - p) / n_paths),
+        std_err=se,
         n_paths=n_paths,
         seed=seed if isinstance(seed, int) else 0,
         event=f"X({grid.t[-1]}) >= {level}",
     )
+
+
+def _conditional_tail(params, law, scheme, eps, grid, n_paths, rng, level):
+    """(p_hat, std_err) of tail_estimate's conditional estimator at
+    H != 1/2, rho = 0."""
+    rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, rng, False)
+    # one slot per block: workers never write the same one
+    nb = -(-n_paths // _ROW_BLOCK)
+    sums = np.zeros(nb)
+    sq_devs = np.zeros(nb)
+
+    def reduce(lo, hi, mv, _):
+        gap = mv[:, 0] - level
+        sd = np.sqrt(mv[:, 1])
+        q = (gap >= 0.0).astype(float)
+        pos = sd > 0.0
+        q[pos] = ndtr(gap[pos] / sd[pos])
+        b = lo // _ROW_BLOCK
+        sums[b] = q.sum()
+        q -= sums[b] / q.size
+        sq_devs[b] = np.square(q, out=q).sum()
+
+    _simulate_general(params, grid, n_paths, rng, theta, *coefs, svol, _N_FINE, reduce,
+                      terminal=True)
+    # Chan et al.'s pairwise update of (count, mean, squared deviations)
+    count, mean, m2 = 0, 0.0, 0.0
+    for b in range(nb):
+        rows = min(_ROW_BLOCK, n_paths - b * _ROW_BLOCK)
+        delta = sums[b] / rows - mean
+        count += rows
+        mean += delta * rows / count
+        m2 += sq_devs[b] + delta * delta * (count - rows) * rows / count
+    return float(mean), math.sqrt(m2) / n_paths
 
 
 @dataclass
@@ -765,7 +866,11 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     The affine-in-eps fit form is pragmatic (the prefactor correction is not
     exactly affine); intercept and its standard error are reported. Ladder
     point i is a `tail_estimate` on child stream i of the seed, as in the
-    CLI `simulate` command.
+    CLI `simulate` command, so it is the conditional estimator at H != 1/2,
+    rho = 0 and crude otherwise. Each point's reported error enters the
+    intercept's as h_eps std_err / p_hat (the delta method for
+    h_eps log p_hat), which for crude points equals the binomial
+    h_eps sqrt((1 - p) / (p n_paths)).
     """
     eps_ladder = list(eps_ladder)
     if len(eps_ladder) < 3:
@@ -798,12 +903,13 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     dof = max(1, xs.size - 2)
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(A.T @ A)
-    # intercept noise: propagate the per-point MC error of h_eps log p_hat
-    # through the OLS weights, then add the residual lack-of-fit term
+    # intercept noise: propagate the per-point MC error of h_eps log p_hat,
+    # h_eps std_err / p_hat by the delta method, through the OLS weights,
+    # then add the residual lack-of-fit term
     g = (np.linalg.inv(A.T @ A) @ A.T)[0]
     se_pts = np.array([
-        scheme.speed(e, H) * math.sqrt((1.0 - p) / (p * n_paths))
-        for e, p, c in zip(eps_ladder, p_hats, censored) if not c
+        scheme.speed(e, H) * se / p
+        for e, p, se, c in zip(eps_ladder, p_hats, std_errs, censored) if not c
     ])
     mc_var = float(np.sum((g * se_pts) ** 2))
     return SlopeFit(

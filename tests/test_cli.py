@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fracldp
@@ -22,6 +23,7 @@ from fracldp.cli import (
     EXIT_IO,
     EXIT_NOCONV,
     EXIT_OK,
+    _fmt,
     main,
     run,
 )
@@ -103,6 +105,13 @@ def test_import_leaves_scipy_stats_unloaded():
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_fmt_writes_numpy_scalars_as_python_floats():
+    assert _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt(np.float32(0.5)) == "0.5"
+    assert _fmt(np.float64("nan")) == "nan"
+    assert (_fmt(None), _fmt(3), _fmt(True)) == ("", "3", "True")
 
 
 class TestKernelsCommand:

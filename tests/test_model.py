@@ -1,11 +1,12 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import hyp2f1, logsumexp
+from scipy.special import hyp2f1, logsumexp, ndtr
 from scipy.stats import norm
 
 from fracldp import (
@@ -548,7 +549,8 @@ class TestRoughSimulationLayout:
 
 class TestTailEstimate:
     """tail_estimate reduces each block of the H != 1/2 simulation to its
-    count of X_T >= level."""
+    count of X_T >= level (rho != 0) or to the sums of P(X_T >= level | vol
+    path) and of their squared deviations (rho = 0)."""
 
     def _args(self, rho, n_paths=2 * model._ROW_BLOCK + 37, H=0.3, n=16):
         params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75), rho=rho)
@@ -564,38 +566,41 @@ class TestTailEstimate:
             assert est.p_hat == np.count_nonzero(x1 >= level) / x1.size
 
     def test_rho_zero_terminal_draw(self):
-        # at rho = 0 a block draws Z of shape (rows, 1 + m): X_T = mean +
-        # sqrt(var) Z_0 with (mean, var) summed over all m fine steps from the
-        # vol the simulation used; the counts at nine levels between its
-        # deciles must be exact
-        seen = []
-
+        # at rho = 0 a block draws Z of shape (rows, m), the W^H normals only.
+        # Y is rebuilt from them, then each path's X_T ~ N(mean, var) with
+        # (mean, var) summed over all m fine steps, and p_hat is the mean of
+        # ndtr((mean - level) / sqrt(var)); at nine levels it must agree to 1e-14
         def sigma(y):
-            out = 0.3 + np.sin(3.0 * y) ** 2
-            seen.append(out)
-            return out
+            return 0.3 + np.sin(3.0 * y) ** 2
 
-        b, eps, rows = 0.75, 0.5, 300
+        b, eps, rows, y0 = 0.75, 0.5, 300, 0.1
         vol = model.VolFunction(kind="Tabulated", b=b, sigma_fn=sigma, sigma_tilde_fn=sigma)
         params = ModelParams(beta=-1.3, xi=0.8, rho=0.0, hurst=HurstParams(0.3), vol=vol)
         scheme = RescalingScheme(SchemeKind.TAILS, b=b)
         grid = TimeGrid.uniform(16)
-        tail_estimate(params, point_law(0.1), scheme, eps, grid, rows, 6, 0.0)
-        sv2 = (eps**b * seen[0]) ** 2
-        # a Point law draws nothing, so block 0 reads child stream 0 of the seed
+        beta_eff, start_scale, _, noise_scale, drift_coef, xnoise_coef = \
+            model._scheme_coefficients(params, scheme, eps)
         t_fine = np.linspace(0.0, 1.0, model._N_FINE + 1)[1:]
-        Z = make_rng(6).spawn(1)[0].standard_normal((rows, 1 + t_fine.size))
-        _, _, _, _, drift_coef, xnoise_coef = model._scheme_coefficients(params, scheme, eps)
+        m = t_fine.size
+        # a Point law draws nothing, so block 0 reads child stream 0 of the seed
+        Z = make_rng(6).spawn(1)[0].standard_normal((rows, m))
+        LW = model._joint_bm_fbm_cholesky(0.3, t_fine, 0.0)[m:, m:]
+        noise = Z @ (noise_scale * _by_parts_matrix(t_fine, beta_eff) @ LW).T
+        # Y at t = 0 and at the fine nodes but the last: the vol at each step's left end
+        y_left = start_scale * y0 * np.exp(beta_eff * np.concatenate([[0.0], t_fine[:-1]]))
+        y_left = y_left + np.hstack([np.zeros((rows, 1)), noise[:, :-1]])
+        sv2 = (eps**b * sigma(y_left / eps**b)) ** 2
         dtf = np.diff(t_fine, prepend=0.0)
-        x_t = np.sort(drift_coef * sv2 @ dtf + np.sqrt(xnoise_coef**2 * sv2 @ dtf) * Z[:, 0])
-        for k in range(1, 10):
-            level = 0.5 * (x_t[30 * k - 1] + x_t[30 * k])
-            est = tail_estimate(params, point_law(0.1), scheme, eps, grid, rows, 6, level)
-            assert est.p_hat == (rows - 30 * k) / rows
+        mean, var = drift_coef * sv2 @ dtf, xnoise_coef**2 * sv2 @ dtf
+        for level in np.quantile(mean + np.sqrt(var), np.linspace(0.1, 0.9, 9)):
+            est = tail_estimate(params, point_law(y0), scheme, eps, grid, rows, 6, level)
+            ref = np.mean(ndtr((mean - level) / np.sqrt(var)))
+            assert abs(est.p_hat - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
     def test_rho_zero_law_matches_simulate(self, H):
-        # the same law of X_T as simulate's, from a different random layout
+        # the conditional estimator against crude hits on simulate's X_T, which
+        # has the same law
         n, level = 100_000, 0.3
         params = ModelParams(beta=-1.0, xi=1.0, rho=0.0, hurst=HurstParams(H),
                              vol=linear_vol(b=0.75))
@@ -621,7 +626,8 @@ class TestTailEstimate:
         finally:
             sys.setswitchinterval(interval)
         assert 0.05 < ref.p_hat < 0.95
-        assert got.p_hat == ref.p_hat
+        assert (got.p_hat, got.std_err) == (ref.p_hat, ref.std_err)
+        assert type(got.p_hat) is float and type(got.std_err) is float
 
     def test_memory_is_per_block(self, monkeypatch):
         # (n_paths x n) arrays of X and Y would take 2 * 100k * 32 * 8 B = 51 MB;
@@ -635,6 +641,62 @@ class TestTailEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 17e6
+
+    def test_h_half_memory_is_per_path(self, monkeypatch):
+        # the (n_paths x n) X and Y of one 200k-path chunk at n = 32 would take
+        # 102 MB; the running X_T, Y and OU integral, Theta and four scratch
+        # columns take 8 * 1.6 MB
+        args = self._args(rho=-0.4, n_paths=200_000, H=0.5, n=32)
+        tracemalloc.start()
+        try:
+            tail_estimate(*args, seed=3, level=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
+
+    def test_gaussian_control_is_exact(self):
+        # constant vol c at rho = 0: every path has X_T ~ N(-c^2 / 2, eps^{2b} c^2),
+        # so p_hat is the closed form and its standard error is 0
+        c, b, eps, level = 1.2, 0.75, 0.5, 0.3
+        params = ModelParams(rho=0.0, hurst=HurstParams(0.3), vol=constant_vol(c, b=b))
+        est = tail_estimate(params, point_law(0.0), RescalingScheme(SchemeKind.TAILS, b=b),
+                            eps, TimeGrid.uniform(16), 2 * model._ROW_BLOCK + 37, 11, level)
+        ref = norm.sf((level + 0.5 * c * c) / (eps**b * c))
+        assert est.p_hat == pytest.approx(ref, rel=1e-12, abs=0)
+        assert 0.0 <= est.std_err <= 1e-15
+
+    def test_zero_variance_paths_give_the_indicator(self):
+        # a vol that is 0 on paths with Theta <= 0 and 1 (so eps^b after
+        # rescaling) on the others: there X_T = 0 exactly, with var = 0, and
+        # q = 1{0 >= level}; elsewhere X_T ~ N(-eps^{2b} / 2, eps^{4b})
+        def sigma(y):
+            return np.where(y[:, :1] > 0.0, 1.0, 0.0) + 0.0 * y
+
+        b, eps, n = 0.75, 0.5, 2 * model._ROW_BLOCK + 37
+        vol = model.VolFunction(kind="Tabulated", b=b, sigma_fn=sigma, sigma_tilde_fn=sigma)
+        params = ModelParams(rho=0.0, hurst=HurstParams(0.3), vol=vol)
+        law = uniform_law(-0.5, 0.5)
+        # Theta is the seed's first draws
+        pos = np.count_nonzero(make_rng(8).uniform(-0.5, 0.5, n) > 0.0) / n
+        mean, sd = -0.5 * eps ** (2 * b), eps ** (2 * b)
+        for level in (-1e-3, 0.0, 1e-3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = tail_estimate(params, law, RescalingScheme(SchemeKind.TAILS, b=b), eps,
+                                    TimeGrid.uniform(16), n, 8, level)
+            ref = pos * norm.sf((level - mean) / sd) + (1.0 - pos) * (level <= 0.0)
+            assert est.p_hat == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_std_err_is_honest(self):
+        # the reported SE against the spread of p_hat over 40 seeds, at the
+        # smallest eps of the configs/simulate_tails.json ladder with H = 0.3
+        params = ModelParams(rho=0.0, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        args = (params, point_law(0.1), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.4,
+                TimeGrid.uniform(32), 10_000)
+        ests = [tail_estimate(*args, seed=s, level=0.5) for s in range(40)]
+        spread = np.std([e.p_hat for e in ests], ddof=1)
+        assert 0.6 <= spread / np.mean([e.std_err for e in ests]) <= 1.5
 
     def test_h_half_matches_chunked_simulate(self, monkeypatch):
         # H = 1/2 runs simulate on consecutive chunks drawn from one generator
