@@ -53,6 +53,7 @@ from .model import (
     sample_initial,
     simulate,
     tail_estimate,
+    tail_ladder,
     tail_probability,
     uniform_law,
 )

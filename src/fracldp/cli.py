@@ -37,7 +37,7 @@ from .model import (
     VolKind,
     check_scaling_assumption,
     check_theta_assumption,
-    tail_estimate,
+    tail_ladder,
 )
 from .rates import (
     KernelKind,
@@ -325,9 +325,11 @@ def _cmd_kernels(cfg: dict, outdir: str) -> int:
 
 def _cmd_simulate(cfg: dict, outdir: str) -> int:
     """simulate.csv: one row per eps of the ladder, with p_hat, the
-    `tail_estimate` of P(X^eps_T >= level); std_err, its standard error (the
-    conditional estimator's sample SE at H != 1/2 and rho = 0, binomial
-    otherwise); h_eps log p_hat (empty when p_hat = 0); n_paths and seed."""
+    `tail_ladder` estimate of P(X^eps_T >= level); std_err, its standard
+    error (the conditional estimator's sample SE at H != 1/2 and rho = 0,
+    binomial otherwise); h_eps log p_hat (empty when p_hat = 0); n_paths and
+    seed. The points share the seed's draws at H != 1/2, and draw from one
+    child stream each at H = 1/2, as in `ldp_slope`."""
     params = _build_model(cfg["model"])
     law = _build_law(cfg["law"])
     scheme = _build_scheme(cfg["scheme"])
@@ -336,13 +338,9 @@ def _cmd_simulate(cfg: dict, outdir: str) -> int:
     n_paths = int(cfg["n_paths"])
     seed = int(cfg["seed"])
     ladder = [float(e) for e in cfg["eps_ladder"]]
-    # one child stream per ladder index, matching ldp_slope's layout
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(ladder))
+    ests, _ = tail_ladder(params, law, scheme, ladder, grid, n_paths, seed, level)
     rows = []
-    for i, eps in enumerate(ladder):
-        rng = np.random.default_rng(children[i])
-        est = tail_estimate(params, law, scheme, eps, grid, n_paths, rng, level)
+    for eps, est in zip(ladder, ests):
         h = scheme.speed(eps, params.hurst.H)
         hlp = h * math.log(est.p_hat) if est.p_hat > 0 else None
         rows.append([_fmt(eps), _fmt(level), _fmt(est.p_hat), _fmt(est.std_err),

@@ -384,28 +384,30 @@ def check_theta_assumption(law: InitialLaw, scheme: RescalingScheme, eps_ladder,
 def _scheme_coefficients(params: ModelParams, scheme: RescalingScheme, eps: float):
     """Coefficients of the rescaled system.
 
-    Returns (beta_eff, start_scale, lam_scale, noise_scale, drift_coef,
+    Returns (beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef,
     xnoise_coef) such that
-      Y_t = start_scale*Theta*e^{beta_eff t} - lam_scale*(lam/beta)(1 - e^{beta_eff t})
+      Y_t = start_scale*Theta*e^{beta_eff t} + lam_term_coef*(1 - e^{beta_eff t})
             + noise_scale * Z_t,   Z = fOU integral with rate beta_eff, unit xi,
       dX = drift_coef * s(Y)^2 dt + xnoise_coef * s(Y) dWbar,
     where s is the rescaled vol coefficient for this eps.
     """
     b = scheme.b
     H = params.hurst.H
+    lam_term = -eps ** b * params.lam / params.beta
     if scheme.kind is SchemeKind.TAILS:
-        return (params.beta, eps ** b, eps ** b, eps ** b * params.xi, -0.5, eps ** b)
+        return (params.beta, eps ** b, lam_term, eps ** b * params.xi, -0.5, eps ** b)
     if scheme.kind is SchemeKind.SMALL_TIME:
         return (
             params.beta * eps ** 2,
             eps ** b,
-            eps ** b,
+            lam_term,
             eps ** (2.0 * H + b) * params.xi,
             -0.5 * eps ** (2.0 * H + 1.0),
             eps ** (2.0 * H + b),
         )
     # DiffusiveSmallTime: unrescaled marginals observed at time eps^2 t
-    return (params.beta * eps ** 2, 1.0, 1.0, eps ** (2.0 * H) * params.xi, -0.5 * eps ** 2, eps)
+    return (params.beta * eps ** 2, 1.0, -params.lam / params.beta, eps ** (2.0 * H) * params.xi,
+            -0.5 * eps ** 2, eps)
 
 
 def _vol_coefficient(params: ModelParams, scheme: RescalingScheme, eps: float):
@@ -495,10 +497,10 @@ def simulate(
     Euler sum over the panel's fine steps.
     Returns (x_batch, y_batch) as GaussianPathBatch objects.
     """
-    rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, seed, allow_coarse)
+    rng, theta, points = _prepare(params, law, scheme, [eps], grid, n_paths, seed, allow_coarse)
     if params.hurst.H == 0.5:
         paths = []
-        _simulate_h_half(params, grid, n_paths, rng, theta, *coefs, svol,
+        _simulate_h_half(params, grid, n_paths, rng, theta, *points[0],
                          lambda lo, hi, xb, yb: paths.append((xb, yb)))
         ((x, y),) = paths
     else:
@@ -509,28 +511,25 @@ def simulate(
             x[lo:hi] = xb
             y[lo:hi] = yb
 
-        _simulate_general(params, grid, n_paths, rng, theta, *coefs, svol, n_fine, store)
+        _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, store)
     s = seed if isinstance(seed, int) else 0
     return GaussianPathBatch(values=x, grid=grid, seed=s), GaussianPathBatch(values=y, grid=grid, seed=s)
 
 
-def _prepare(params, law, scheme, eps, grid, n_paths, seed, allow_coarse):
-    """Checks and set-up shared by simulate and tail_estimate. Returns the
-    generator, Theta (its first draws), the scheme coefficients (beta_eff,
-    start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef) and
-    the vol coefficient."""
+def _prepare(params, law, scheme, eps_ladder, grid, n_paths, seed, allow_coarse):
+    """Checks and set-up shared by simulate and the tail estimators. Returns
+    the generator, Theta (its first draws) and, per eps of the ladder, the
+    point (beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef,
+    xnoise_coef, vol coefficient)."""
     if grid.n < 16 and not allow_coarse:
         raise DomainError("grid has fewer than 16 nodes; pass allow_coarse=True to override")
     for msg in scheme.check_b(params.hurst.H):
         warnings.warn(msg)
-    rng = make_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    beta_eff, start_scale, lam_scale, noise_scale, drift_coef, xnoise_coef = _scheme_coefficients(
-        params, scheme, eps
-    )
+    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     theta = law.resolve(params).sample(n_paths, rng)
-    lam_term_coef = -lam_scale * params.lam / params.beta
-    coefs = (beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef)
-    return rng, theta, coefs, _vol_coefficient(params, scheme, eps)
+    points = [(*_scheme_coefficients(params, scheme, eps), _vol_coefficient(params, scheme, eps))
+              for eps in eps_ladder]
+    return rng, theta, points
 
 
 def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
@@ -600,24 +599,27 @@ def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     sink(0, n_paths, xk[:, None] if terminal else x, y)
 
 
-def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
-                      lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol, n_fine,
-                      sink, terminal=False):
-    """Fine-grid simulation for H != 1/2, handed to `sink` block by block.
+def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, terminal=False):
+    """Fine-grid simulation for H != 1/2 at each point of an eps ladder
+    (`points`, from _prepare), handed to `sink` block by block.
 
     Paths are simulated in blocks of _ROW_BLOCK rows (the last block is
     shorter). Block b draws one array of standard normals Z from the b-th
     child stream spawned from `rng` after Theta, so the block size is part
     of the random-number layout and the paths are a function of the seed and
-    n_paths only. Z's last m columns, and with rho != 0 all of them, enter
-    one GEMM with noise_scale * F [U, L22] (F the by-parts fOU map, [U, L22]
-    the W^H rows of the factor of _joint_bm_fbm_cholesky) that gives the Y
-    noise. X's increments are summed over each coarse panel through the 0/1
-    fine-step -> panel matrix P and cumulated over the panels.
+    n_paths only. Every point reads the same Theta and Z with the same
+    arithmetic, whatever else the ladder holds, so it equals a one-point run
+    at the same seed bit for bit. Z's last m columns, and with rho != 0 all
+    of them, enter one GEMM per distinct beta_eff (one for a Tails ladder)
+    with (F [U, L22])^T, F the by-parts fOU map and [U, L22] the W^H rows of
+    the factor of _joint_bm_fbm_cholesky; a point scales the product by its
+    noise_scale to get its Y noise. X's increments are summed over each
+    coarse panel through the 0/1 fine-step -> panel matrix P and cumulated
+    over the panels.
 
     rho != 0: Z is (rows, 2m); its first m columns give the Euler driver's
     increments dWbar_k = sqrt(dt_k) Z_k, and the fine Euler increments
-    dx_k = drift_k s_k^2 + dw_coef_k s_k Z_k, with left-endpoint vol s, are
+    dx_k = dw_coef_k s_k Z_k + drift_k s_k^2, with left-endpoint vol s, are
     summed as dx @ P.
 
     rho = 0: Wbar is independent of W^H, so given the vol path a panel's sum
@@ -626,20 +628,24 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     one GEMM of s^2 with [drift P | dw_coef^2 P] gives (mean | var), and the
     panel increment is mean + sqrt(var) Z_j for the first n columns. With
     `terminal` the only panel is (0, T] and no X normal is drawn: Z is
-    (rows, m), and the block ends at each path's (mean | var), the exact
+    (rows, m), and each point ends at each path's (mean | var), the exact
     conditional law N(mean, var) of X_T given its vol path.
 
-    Block b calls sink(lo, hi, x, y) with rows lo:hi of X and Y at the grid
-    nodes. With `terminal` y is None, and x is the (rows, n) X at rho != 0
-    (its last column X_T) but the (rows, 2) array (mean | var) of X_T at
+    Without `terminal`, block b calls sink(lo, hi, x, y) once per point with
+    rows lo:hi of X and Y at the grid nodes. With `terminal` it calls
+    sink(lo, hi, x, None) once, after the last point, with x the (k, rows)
+    X_T of the k points at rho != 0 and their (k, rows, 2) (mean | var) at
     rho = 0. These are the worker's own arrays, which its next block
     overwrites, so the sink copies or reduces them before it returns.
 
     Blocks run on up to _WORKERS threads, worker w taking blocks w,
     w + workers, ... and writing every step into arrays it allocates once
-    (numpy's RNG fill, BLAS and ufuncs release the GIL). The worker count
-    does not change the result. The sink, and a Tabulated vol's user
-    callables, therefore run on worker threads, concurrently.
+    (numpy's RNG fill, BLAS and ufuncs release the GIL): four at rho = 0
+    with `terminal`, whatever the ladder's length. A point's scaled noise
+    and Euler step go to Z's last m columns once the block's last GEMM has
+    run, before that to the GEMM product at its group's last point. The
+    worker count does not change the result. The sink, and a Tabulated
+    vol's user callables, therefore run on worker threads, concurrently.
     """
     H = params.hurst.H
     t_coarse = grid.t
@@ -647,12 +653,11 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
     T = t_coarse[-1]
     t_fine = np.unique(np.concatenate([np.linspace(0.0, T, n_fine + 1)[1:], t_coarse]))
     m = t_fine.size
+    k = len(points)
     L = _joint_bm_fbm_cholesky(H, t_fine, params.rho)
     dtf = np.diff(t_fine, prepend=0.0)
-    dw_coef = xnoise_coef * np.sqrt(dtf)
-    drift = drift_coef * dtf
     pathwise = params.rho != 0.0
-    # at rho = 0 with `terminal`, a block ends at X_T's conditional moments
+    # at rho = 0 with `terminal`, a point ends at X_T's conditional moments
     moments = terminal and not pathwise
     # P[k, j] = 1 when fine step k, (t_fine[k-1], t_fine[k]], lies in panel j
     if moments:
@@ -668,12 +673,19 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
         # one normal per panel for X, none when the sink takes X_T's moments
         first = 0 if moments else nx
         width, LW = first + m, L[m:, m:]
-        MV = np.hstack([drift[:, None] * P, (dw_coef * dw_coef)[:, None] * P])
-    MT = (noise_scale * _by_parts_matrix(t_fine, beta_eff) @ LW).T
-    # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
-    ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
-    y_start = start_scale * ebt
-    y_lam = lam_term_coef * (1.0 - ebt)
+    groups = {}  # beta_eff -> the indices of its points
+    for i, point in enumerate(points):
+        groups.setdefault(point[0], []).append(i)
+    MT = {beta: (_by_parts_matrix(t_fine, beta) @ LW).T for beta in groups}
+    consts = []
+    for beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol in points:
+        # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
+        ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
+        dw_coef = xnoise_coef * np.sqrt(dtf)
+        drift = drift_coef * dtf
+        MV = None if pathwise else np.hstack([drift[:, None] * P, (dw_coef * dw_coef)[:, None] * P])
+        consts.append((start_scale * ebt, lam_term_coef * (1.0 - ebt), noise_scale, dw_coef,
+                       drift, MV, svol))
     gather = np.searchsorted(t_fine, t_coarse) + 1
     nb = -(-n_paths // _ROW_BLOCK)
     streams = rng.spawn(nb)
@@ -683,39 +695,54 @@ def _simulate_general(params, grid, n_paths, rng, theta, beta_eff, start_scale,
         R = min(n_paths, _ROW_BLOCK)
         Z_w = np.empty((R, width))
         y_w = np.empty((R, m + 1))
-        # the Y noise, then s^2 (rho = 0) or drift * s (rho != 0)
         f_w = np.empty((R, m))
+        t_w = np.empty((k, R, 2) if moments else (k, R)) if terminal else None
         # (mean | var) at rho = 0, the panel sums dx @ P otherwise
-        d_w = np.empty((R, nx if pathwise else 2 * nx))
+        d_w = None if moments else np.empty((R, nx if pathwise else 2 * nx))
         x_w = None if moments else np.empty((R, nx))
         g_w = None if terminal else np.empty((R, n))
         for b in range(w, nb, workers):
             lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
             r = hi - lo
-            Z, yb, f, d = Z_w[:r], y_w[:r], f_w[:r], d_w[:r]
+            Z, yb = Z_w[:r], y_w[:r]
             streams[b].standard_normal(out=Z)
-            np.multiply(theta[lo:hi, None], y_start, out=yb)
-            yb += y_lam
-            yb[:, 1:] += np.matmul(Z[:, first:], MT, out=f)
-            # a view of yb for a Linear vol, so yb is only read from here on
-            sv = svol(yb[:, :-1])
-            if pathwise:
-                # Euler X on the fine grid, in place over the Wbar columns of Z
-                dx = Z[:, :m]
-                dx *= dw_coef
-                dx += np.multiply(sv, drift, out=f)
-                dx *= sv
-                dx = np.matmul(dx, P, out=d)
-            else:
-                np.matmul(np.multiply(sv, sv, out=f), MV, out=d)
-                if moments:
-                    sink(lo, hi, d, None)
-                    continue
-                dx = Z[:, :nx]
-                dx *= np.sqrt(d[:, nx:], out=d[:, nx:])
-                dx += d[:, :nx]
-            x = np.cumsum(dx, axis=1, out=x_w[:r])
-            sink(lo, hi, x, None if terminal else np.take(yb, gather, axis=1, out=g_w[:r]))
+            for j, (beta, idx) in enumerate(groups.items()):
+                G = np.matmul(Z[:, first:], MT[beta], out=f_w[:r])
+                for i in idx:
+                    y_start, y_lam, noise_scale, dw_coef, drift, MV, svol = consts[i]
+                    tmp = Z[:, -m:] if j == len(groups) - 1 else G if i == idx[-1] else None
+                    tmp = np.multiply(G, noise_scale, out=tmp)
+                    np.multiply(theta[lo:hi, None], y_start, out=yb)
+                    yb += y_lam
+                    yb[:, 1:] += tmp
+                    sv = svol(yb[:, :-1])
+                    if not terminal:
+                        y = np.take(yb, gather, axis=1, out=g_w[:r])
+                    if pathwise:
+                        # Euler X on the fine grid
+                        dx = np.multiply(Z[:, :m], dw_coef, out=tmp)
+                        dx *= sv
+                    # Y is not read from here on (a Linear vol's sv is a view of it)
+                    s2 = np.multiply(sv, sv, out=yb[:, :-1])
+                    if moments:
+                        np.matmul(s2, MV, out=t_w[i, :r])
+                        continue
+                    d = d_w[:r]
+                    if pathwise:
+                        s2 *= drift
+                        dx += s2
+                        x = np.cumsum(np.matmul(dx, P, out=d), axis=1, out=x_w[:r])
+                    else:
+                        np.matmul(s2, MV, out=d)
+                        x = np.multiply(Z[:, :nx], np.sqrt(d[:, nx:], out=d[:, nx:]), out=x_w[:r])
+                        x += d[:, :nx]
+                        np.cumsum(x, axis=1, out=x)
+                    if terminal:
+                        t_w[i, :r] = x[:, -1]
+                    else:
+                        sink(lo, hi, x, y)
+            if terminal:
+                sink(lo, hi, t_w[:, :r], None)
 
     if workers == 1:
         work(0)
@@ -752,98 +779,117 @@ def tail_estimate(params: ModelParams, law: InitialLaw, scheme: RescalingScheme,
     from n_paths simulated paths that are never held all at once. p_hat and
     std_err are Python floats.
 
-    H != 1/2 and rho = 0: conditional Monte Carlo. Given its vol path, X_T
-    is exactly N(mean, var) with mean = sum_k drift_k s_k^2 and
-    var = sum_k dw_coef_k^2 s_k^2 over the fine steps, so each path
-    contributes q = P(X_T >= level | vol path) = ndtr((mean - level) /
-    sqrt(var)), or the indicator of mean >= level where var = 0, and draws
-    only its m W^H normals. p_hat, the mean of q, has the expectation of the
-    hit fraction on simulate's X_T and never a larger variance. std_err is
-    its sample standard error sqrt(sum_i (q_i - p_hat)^2) / n_paths. The
-    block workers keep, per block, sum q and the sum of squared deviations
-    from the block mean; the blocks are merged in block order by Chan's
-    pairwise update, so neither number depends on the worker count.
-
-    Elsewhere, crude Monte Carlo: p_hat is the fraction of paths with
-    X_T >= level and std_err the binomial sqrt(p_hat (1 - p_hat) / n_paths),
-    which is the same sample standard error for 0/1 values.
-    - H != 1/2, rho != 0: the blocks draw and compute as `simulate` does, and
-      the count equals the count on simulate's X_T for the same seed. Given
-      the vol path alone, X_T is not Gaussian with moments from that path:
-      Wbar = rho B + rho_bar B' shares B with W^H, so a conditional estimator
-      needs a factor of the drivers conditioned on B, which the joint
-      (Wbar, W^H) factor does not give.
-    - H = 1/2: the exact OU recursion runs on consecutive chunks of
-      _H_HALF_CHUNK paths from the same generator, with the draws of
-      `simulate` on those chunks, and keeps only a running X_T and Y per
-      path. It stays crude so that its results for a given seed, which
-      acceptance criteria 7 and 8 and `configs/simulate_tails.json` fix,
-      do not move.
+    H != 1/2: the one-point `tail_ladder`, which describes the estimator.
+    H = 1/2: crude. p_hat is the fraction of paths with X_T >= level and
+    std_err the binomial sqrt(p_hat (1 - p_hat) / n_paths). The exact OU
+    recursion runs on consecutive chunks of _H_HALF_CHUNK paths from the
+    seed's generator, with the draws of `simulate` on those chunks, and keeps
+    only a running X_T and Y per path. It stays crude so that its results for
+    a given seed, which acceptance criteria 7 and 8 and
+    `configs/simulate_tails.json` fix, do not move.
     `tail_probability` on simulate's paths is crude at every H.
     """
+    if params.hurst.H != 0.5:
+        (est,), _ = tail_ladder(params, law, scheme, [eps], grid, n_paths, seed, level)
+        return est
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    rng = make_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    if params.hurst.H != 0.5 and params.rho == 0.0:
-        p, se = _conditional_tail(params, law, scheme, eps, grid, n_paths, rng, level)
-    else:
-        hits = []  # one count per block or chunk; list.append is atomic
+    hits = []  # one count per chunk
 
-        def count_hits(lo, hi, x, _):
-            hits.append(int(np.count_nonzero(x[:, -1] >= level)))
+    def count_hits(lo, hi, x, _):
+        hits.append(int(np.count_nonzero(x[:, -1] >= level)))
 
-        if params.hurst.H == 0.5:
-            for lo in range(0, n_paths, _H_HALF_CHUNK):
-                rows = min(_H_HALF_CHUNK, n_paths - lo)
-                rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, rows, rng, False)
-                _simulate_h_half(params, grid, rows, rng, theta, *coefs, svol, count_hits,
-                                 terminal=True)
-        else:
-            rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, rng, False)
-            _simulate_general(params, grid, n_paths, rng, theta, *coefs, svol, _N_FINE,
-                              count_hits, terminal=True)
-        p = sum(hits) / n_paths
-        se = math.sqrt(p * (1.0 - p) / n_paths)
-    return MCEstimate(
-        p_hat=p,
-        std_err=se,
-        n_paths=n_paths,
-        seed=seed if isinstance(seed, int) else 0,
-        event=f"X({grid.t[-1]}) >= {level}",
-    )
+    rng = seed
+    for lo in range(0, n_paths, _H_HALF_CHUNK):
+        rows = min(_H_HALF_CHUNK, n_paths - lo)
+        rng, theta, (point,) = _prepare(params, law, scheme, [eps], grid, rows, rng, False)
+        _simulate_h_half(params, grid, rows, rng, theta, *point, count_hits, terminal=True)
+    p = sum(hits) / n_paths
+    return MCEstimate(p_hat=p, std_err=math.sqrt(p * (1.0 - p) / n_paths), n_paths=n_paths,
+                      seed=seed if isinstance(seed, int) else 0,
+                      event=f"X({grid.t[-1]}) >= {level}")
 
 
-def _conditional_tail(params, law, scheme, eps, grid, n_paths, rng, level):
-    """(p_hat, std_err) of tail_estimate's conditional estimator at
-    H != 1/2, rho = 0."""
-    rng, theta, coefs, svol = _prepare(params, law, scheme, eps, grid, n_paths, rng, False)
+def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, eps_ladder,
+                grid: TimeGrid, n_paths: int, seed, level: float):
+    """P(X^eps_T >= level) at the last grid node T for each eps of the
+    ladder, from n_paths paths per point that are never held all at once.
+    Returns (estimates, cov): one MCEstimate per eps, with Python-float
+    p_hat and std_err, and the covariance matrix of the p_hats.
+
+    H != 1/2: one pass over the blocks of `_simulate_general` draws Theta
+    and each block's normals once, from the seed's own generator, for every
+    point (common random numbers). So each point equals `tail_estimate` at
+    its eps and seed, whatever else the ladder holds, and the points are
+    correlated. Per path and point, q is
+    - rho = 0: P(X_T >= level | vol path) = ndtr((mean - level) / sqrt(var)),
+      or 1{mean >= level} where var = 0 (conditional Monte Carlo). Given its
+      vol path, X_T is exactly N(mean, var), mean = sum_k drift_k s_k^2 and
+      var = sum_k dw_coef_k^2 s_k^2 over the fine steps, so a path draws
+      only its m W^H normals. q has the expectation of the hit indicator and
+      never a larger variance.
+    - rho != 0: 1{X_T >= level} on simulate's X_T for the same seed (crude).
+      Given the vol path alone X_T is not Gaussian, because Wbar shares B
+      with W^H, and the joint (Wbar, W^H) factor gives no factor of the
+      drivers conditioned on B.
+    p_hat is the mean of q and cov the sample covariance of q divided by
+    n_paths, so std_err = sqrt(sum_i (q_i - p_hat)^2) / n_paths: for 0/1
+    values the binomial sqrt(p_hat (1 - p_hat) / n_paths). Each block keeps
+    sum q and the co-moments about its own mean; Chan's pairwise update
+    merges the blocks in block order, so no number depends on the worker
+    count.
+
+    H = 1/2: point i is `tail_estimate` on child stream i of the seed, and
+    cov is diagonal.
+    """
+    eps_ladder = list(eps_ladder)
+    k = len(eps_ladder)
+    if params.hurst.H == 0.5:
+        rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
+        ests = [tail_estimate(params, law, scheme, eps, grid, n_paths, child, level)
+                for eps, child in zip(eps_ladder, rng.spawn(k))]
+        for est in ests:
+            est.seed = seed if isinstance(seed, int) else 0
+        return ests, np.diag(np.square([est.std_err for est in ests]))
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
+    rng, theta, points = _prepare(params, law, scheme, eps_ladder, grid, n_paths, seed, False)
     # one slot per block: workers never write the same one
     nb = -(-n_paths // _ROW_BLOCK)
-    sums = np.zeros(nb)
-    sq_devs = np.zeros(nb)
+    sums = np.zeros((k, nb))
+    co_moments = np.zeros((nb, k, k))
 
-    def reduce(lo, hi, mv, _):
-        gap = mv[:, 0] - level
-        sd = np.sqrt(mv[:, 1])
-        q = (gap >= 0.0).astype(float)
-        pos = sd > 0.0
-        q[pos] = ndtr(gap[pos] / sd[pos])
+    def reduce(lo, hi, x, _):
+        if x.ndim == 2:  # X_T at rho != 0
+            q = (x >= level).astype(float)
+        else:  # the (mean | var) of X_T at rho = 0
+            gap = x[..., 0] - level
+            sd = np.sqrt(x[..., 1])
+            q = (gap >= 0.0).astype(float)
+            pos = sd > 0.0
+            q[pos] = ndtr(gap[pos] / sd[pos])
+        # a point's sums run over its own contiguous row, as in a one-point ladder
         b = lo // _ROW_BLOCK
-        sums[b] = q.sum()
-        q -= sums[b] / q.size
-        sq_devs[b] = np.square(q, out=q).sum()
+        sums[:, b] = q.sum(axis=1)
+        q -= (sums[:, b] / (hi - lo))[:, None]
+        co_moments[b] = q @ q.T
+        co_moments[b][np.diag_indices(k)] = np.square(q).sum(axis=1)
 
-    _simulate_general(params, grid, n_paths, rng, theta, *coefs, svol, _N_FINE, reduce,
-                      terminal=True)
-    # Chan et al.'s pairwise update of (count, mean, squared deviations)
-    count, mean, m2 = 0, 0.0, 0.0
+    _simulate_general(params, grid, n_paths, rng, theta, points, _N_FINE, reduce, terminal=True)
+    # Chan et al.'s pairwise update of (count, mean, co-moments)
+    count, mean, m2 = 0, np.zeros(k), np.zeros((k, k))
     for b in range(nb):
         rows = min(_ROW_BLOCK, n_paths - b * _ROW_BLOCK)
-        delta = sums[b] / rows - mean
+        delta = sums[:, b] / rows - mean
         count += rows
         mean += delta * rows / count
-        m2 += sq_devs[b] + delta * delta * (count - rows) * rows / count
-    return float(mean), math.sqrt(m2) / n_paths
+        m2 += co_moments[b] + np.outer(delta, delta) * ((count - rows) * rows / count)
+    # the block sums are exact hit counts at rho != 0
+    p = sums.sum(axis=1) / n_paths
+    ests = [MCEstimate(p_hat=float(p[i]), std_err=math.sqrt(m2[i, i]) / n_paths,
+                       n_paths=n_paths, seed=seed if isinstance(seed, int) else 0,
+                       event=f"X({grid.t[-1]}) >= {level}") for i in range(k)]
+    return ests, m2 / n_paths**2
 
 
 @dataclass
@@ -864,34 +910,23 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     eps ladder and extrapolating an affine fit in eps to eps = 0.
 
     The affine-in-eps fit form is pragmatic (the prefactor correction is not
-    exactly affine); intercept and its standard error are reported. Ladder
-    point i is a `tail_estimate` on child stream i of the seed, as in the
-    CLI `simulate` command, so it is the conditional estimator at H != 1/2,
-    rho = 0 and crude otherwise. Each point's reported error enters the
-    intercept's as h_eps std_err / p_hat (the delta method for
-    h_eps log p_hat), which for crude points equals the binomial
-    h_eps sqrt((1 - p) / (p n_paths)).
+    exactly affine); intercept and its standard error are reported. The
+    ladder is one `tail_ladder`, as in the CLI `simulate` command. The
+    intercept's Monte Carlo variance is g^T D C D g, with g its OLS weights,
+    C the ladder's p_hat covariance (diagonal at H = 1/2 only) and
+    D = diag(h_eps / p_hat), the delta method for h_eps log p_hat.
     """
     eps_ladder = list(eps_ladder)
     if len(eps_ladder) < 3:
         raise DomainError("need at least 3 ladder points")
     grid = grid or TimeGrid.uniform(16)
     H = params.hurst.H
-    base_seed = seed if isinstance(seed, int) else 0
-    ss = np.random.SeedSequence(base_seed)
-    h_log_p, p_hats, std_errs, censored = [], [], [], []
-    children = ss.spawn(len(eps_ladder))
-    for i, eps in enumerate(eps_ladder):
-        est = tail_estimate(params, law, scheme, eps, grid, n_paths,
-                            np.random.default_rng(children[i]), level)
-        p_hats.append(est.p_hat)
-        std_errs.append(est.std_err)
-        if est.p_hat == 0:
-            censored.append(True)
-            h_log_p.append(None)
-        else:
-            censored.append(False)
-            h_log_p.append(scheme.speed(eps, H) * math.log(est.p_hat))
+    ests, C = tail_ladder(params, law, scheme, eps_ladder, grid, n_paths, seed, level)
+    p_hats = [est.p_hat for est in ests]
+    std_errs = [est.std_err for est in ests]
+    censored = [p == 0 for p in p_hats]
+    h_log_p = [None if c else scheme.speed(e, H) * math.log(p)
+               for e, p, c in zip(eps_ladder, p_hats, censored)]
     xs = np.array([e for e, c in zip(eps_ladder, censored) if not c])
     ys = np.array([v for v, c in zip(h_log_p, censored) if not c])
     if xs.size < 2:
@@ -903,15 +938,21 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     dof = max(1, xs.size - 2)
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(A.T @ A)
-    # intercept noise: propagate the per-point MC error of h_eps log p_hat,
-    # h_eps std_err / p_hat by the delta method, through the OLS weights,
-    # then add the residual lack-of-fit term
+    # intercept noise: propagate the ladder's MC covariance of h_eps log p_hat
+    # through the OLS weights, then add the residual lack-of-fit term
     g = (np.linalg.inv(A.T @ A) @ A.T)[0]
     se_pts = np.array([
         scheme.speed(e, H) * se / p
         for e, p, se, c in zip(eps_ladder, p_hats, std_errs, censored) if not c
     ])
-    mc_var = float(np.sum((g * se_pts) ** 2))
+    # g^T D C D g as w^T R w, R the correlation matrix, so that a diagonal C
+    # gives sum w^2 bit for bit
+    sd = np.sqrt(np.diag(C))
+    sd2 = np.outer(sd, sd)
+    keep = np.flatnonzero(np.logical_not(censored))
+    R = np.divide(C, sd2, out=np.eye(len(sd)), where=sd2 > 0)[np.ix_(keep, keep)]
+    w = g * se_pts
+    mc_var = float(np.sum(w * (R @ w)))
     return SlopeFit(
         limit=float(coef[0]),
         limit_std_err=float(math.sqrt(max(cov[0, 0], 0.0) + mc_var)),

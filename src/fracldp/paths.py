@@ -5,9 +5,8 @@ Reproducibility contract: a 64-bit seed fully determines the batch for a
 given grid, path count and construction. The samplers here draw from one
 stream. Where work is split, each piece draws from its own child stream,
 spawned by index, so results do not depend on scheduling: the row blocks of
-`model.simulate` and `model.tail_estimate` at H != 1/2, which run on a
-thread pool, and the ladder points of `model.ldp_slope` and of the CLI
-`simulate` command.
+`model.simulate` and `model.tail_ladder` at H != 1/2, which run on a
+thread pool, and the ladder points of `model.tail_ladder` at H = 1/2.
 """
 
 from __future__ import annotations

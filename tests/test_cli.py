@@ -182,7 +182,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("H", [0.5, 0.3])
     def test_p_hat_matches_ldp_slope(self, tmp_path, H):
-        # one child stream per ladder index in both, each a tail_estimate
+        # both run one tail_ladder: at H != 1/2 one pass over the seed's own
+        # draws, at H = 1/2 one child stream per ladder index
         cfg = dict(self.CFG, model={"H": H, "vol": {"kind": "Linear", "b": 0.75}},
                    eps_ladder=[0.7, 0.6, 0.5])
         out = tmp_path / "o"

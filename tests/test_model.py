@@ -32,6 +32,7 @@ from fracldp import (
     sample_initial,
     simulate,
     tail_estimate,
+    tail_ladder,
     tail_probability,
     uniform_law,
 )
@@ -283,6 +284,22 @@ class TestSimulate:
         emp = np.cov(xb.values[:, -1], yb.values[:, -1])
         se = math.sqrt((emp[0, 0] * emp[1, 1] + emp[0, 1] ** 2) / n)
         assert abs(emp[0, 1] - ref) <= 5.0 * se
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(H=st.floats(0.05, 0.95), rho=st.floats(-0.9, 0.9),
+           eps=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=2))
+    def test_tails_scaling_identity(self, H, rho, eps):
+        # under Tails every term of Y^eps is eps^b times an eps-free path of
+        # the same draws, so Y(eps1) = (eps1 / eps2)^b Y(eps2): what lets a
+        # Tails ladder share one fOU GEMM across its points
+        b = 0.75
+        params = ModelParams(lam=0.3, beta=-1.2, xi=0.8, rho=rho, hurst=HurstParams(H),
+                             vol=linear_vol(b=b))
+        args = (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=b))
+        y1, y2 = (simulate(*args, e, TimeGrid.uniform(16), 40, seed=3, n_fine=32)[1].values
+                  for e in eps)
+        ref = (eps[0] / eps[1]) ** b * y2
+        assert np.max(np.abs(y1 - ref)) <= 1e-12 * np.max(np.abs(y1))
 
 
 def _stepwise_by_parts(WH, t_fine, beta_eff):
@@ -707,6 +724,84 @@ class TestTailEstimate:
         level = float(np.median(x1))
         est = tail_estimate(*args, seed=5, level=level)
         assert est.p_hat == np.count_nonzero(x1 >= level) / 7
+
+
+class TestTailLadder:
+    """tail_ladder runs an eps ladder in one pass over the blocks of the
+    H != 1/2 simulation, every point on the same Theta and normals."""
+
+    EPS = (0.7, 0.6, 0.5, 0.4)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), rho=st.sampled_from([0.0, -0.4]), H=st.sampled_from([0.1, 0.3, 0.7]),
+           kind=st.sampled_from([SchemeKind.TAILS, SchemeKind.SMALL_TIME]),
+           n_paths=st.sampled_from([model._ROW_BLOCK + d for d in (-1, 0, 1, 8 * model._ROW_BLOCK + 5)]),
+           workers=st.sampled_from([1, 2, 3]))
+    def test_points_equal_one_point_estimates(self, data, rho, H, kind, n_paths, workers):
+        # any subset of the ladder, in any order, at any worker count: each
+        # point is the one-point tail_estimate at the same seed, bit for bit
+        ladder = data.draw(st.permutations(self.EPS).flatmap(
+            lambda p: st.integers(1, len(p)).map(lambda k: list(p[:k]))))
+        params = ModelParams(lam=0.2, rho=rho, hurst=HurstParams(H), vol=linear_vol(b=0.75))
+        args = (params, uniform_law(-0.5, 0.5), RescalingScheme(kind, b=0.75))
+        grid, level = TimeGrid.uniform(16), -0.05
+        saved = model._WORKERS
+        try:
+            model._WORKERS = workers
+            ests, cov = tail_ladder(*args, ladder, grid, n_paths, 9, level)
+            model._WORKERS = 1
+            refs = [tail_estimate(*args, eps, grid, n_paths, 9, level) for eps in ladder]
+        finally:
+            model._WORKERS = saved
+        assert [(e.p_hat, e.std_err) for e in ests] == [(r.p_hat, r.std_err) for r in refs]
+        assert np.allclose(np.diag(cov), [e.std_err**2 for e in ests], rtol=1e-12, atol=0)
+
+    def test_covariance_is_honest(self):
+        # the reported p_hat covariance against the spread of the p_hats over
+        # 40 seeds, on the configs/simulate_tails.json ladder with H = 0.3
+        params = ModelParams(rho=0.0, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        args = (params, point_law(0.1), RescalingScheme(SchemeKind.TAILS, b=0.75), self.EPS,
+                TimeGrid.uniform(32), 10_000)
+        runs = [tail_ladder(*args, seed=s, level=0.5) for s in range(40)]
+        emp = np.cov(np.array([[e.p_hat for e in ests] for ests, _ in runs]).T)
+        rep = np.mean([cov for _, cov in runs], axis=0)
+        ratio = np.diag(emp) / np.diag(rep)
+        assert np.all((0.6 <= ratio) & (ratio <= 1.5)), ratio
+
+        def corr(c):
+            sd = np.sqrt(np.diag(c))
+            return c / np.outer(sd, sd)
+
+        assert np.max(np.abs(corr(emp) - corr(rep))) <= 0.2
+        assert np.min(corr(rep)) > 0.5  # the points share their draws
+
+    def test_slope_error_uses_the_covariance(self):
+        # the intercept's MC variance is g^T D C D g with the full covariance C
+        params = ModelParams(rho=0.0, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        scheme = RescalingScheme(SchemeKind.TAILS, b=0.75)
+        args = (params, point_law(0.1), scheme, list(self.EPS))
+        grid = TimeGrid.uniform(32)
+        fit = ldp_slope(*args, 0.5, 10_000, 5, grid=grid)
+        ests, C = tail_ladder(*args, grid, 10_000, 5, 0.5)
+        A = np.vstack([np.ones(4), self.EPS]).T
+        g = np.linalg.solve(A.T @ A, A.T)[0]
+        Dg = g * np.array([scheme.speed(e, 0.3) / est.p_hat for e, est in zip(self.EPS, ests)])
+        resid = np.array(fit.residuals)
+        fit_var = resid @ resid / 2 * np.linalg.inv(A.T @ A)[0, 0]
+        assert fit.limit_std_err == pytest.approx(math.sqrt(fit_var + Dg @ C @ Dg), rel=1e-10)
+
+    def test_memory_is_per_block(self, monkeypatch):
+        # the bound of the one-point test: per-eps buffers would break it
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        params = ModelParams(rho=0.0, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        tracemalloc.start()
+        try:
+            tail_ladder(params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75),
+                        self.EPS, TimeGrid.uniform(32), 100_000, 3, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6
 
 
 class TestTailProbabilityAndSlope:
