@@ -735,7 +735,8 @@ class TestTailLadder:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data(), rho=st.sampled_from([0.0, -0.4]), H=st.sampled_from([0.1, 0.3, 0.7]),
            kind=st.sampled_from([SchemeKind.TAILS, SchemeKind.SMALL_TIME]),
-           n_paths=st.sampled_from([model._ROW_BLOCK + d for d in (-1, 0, 1, 8 * model._ROW_BLOCK + 5)]),
+           n_paths=st.sampled_from([model._ROW_BLOCK + d
+                                    for d in (-1, 0, 1, 8 * model._ROW_BLOCK + 5)]),
            workers=st.sampled_from([1, 2, 3]))
     def test_points_equal_one_point_estimates(self, data, rho, H, kind, n_paths, workers):
         # any subset of the ladder, in any order, at any worker count: each
@@ -789,6 +790,19 @@ class TestTailLadder:
         resid = np.array(fit.residuals)
         fit_var = resid @ resid / 2 * np.linalg.inv(A.T @ A)[0, 0]
         assert fit.limit_std_err == pytest.approx(math.sqrt(fit_var + Dg @ C @ Dg), rel=1e-10)
+
+    def test_exact_points_give_a_finite_error_bar(self):
+        # constant vol at rho = 0: every q is the closed form, so the ladder's
+        # covariance is 0 up to rounding (exactly 0 at eps = 0.4 here, where a
+        # correlation would be 0/0) and the intercept's error is the lack of fit
+        params = ModelParams(rho=0.0, hurst=HurstParams(0.3), vol=constant_vol(1.0, b=0.6))
+        fit = ldp_slope(params, point_law(0.0), RescalingScheme(SchemeKind.TAILS, b=0.6),
+                        list(self.EPS), 1.0, 3000, 5)
+        assert max(fit.std_errs) <= 1e-15
+        resid = np.array(fit.residuals)
+        A = np.vstack([np.ones(4), self.EPS]).T
+        fit_var = resid @ resid / 2 * np.linalg.inv(A.T @ A)[0, 0]
+        assert fit.limit_std_err == pytest.approx(math.sqrt(fit_var), rel=1e-10)
 
     def test_memory_is_per_block(self, monkeypatch):
         # the bound of the one-point test: per-eps buffers would break it
