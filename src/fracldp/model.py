@@ -26,7 +26,14 @@ from .kernels import (
     TimeGrid,
     operator_matrix,
 )
-from .paths import GaussianPathBatch, _by_parts_matrix, _stable_cholesky, fbm_covariance, make_rng
+from .paths import (
+    GaussianPathBatch,
+    _by_parts_matrix,
+    _stable_cholesky,
+    fbm_covariance,
+    make_rng,
+    seed_label,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +120,15 @@ class VolFunction:
             return np.full_like(np.asarray(y, dtype=float), self.c0)
         eb = eps ** b
         return eb * self.sigma(np.asarray(y, dtype=float) / eb)
+
+    @property
+    def homogeneous(self) -> bool:
+        """Whether scaled(eps^b y, eps, b) = eps^b scaled(y, 1, b) for every
+        eps > 0 and y. It holds for Linear, AffineAbs and Tabulated, not for
+        Constant, whose coefficient does not rescale. Where it holds, the
+        Tails system at eps is Y^eps = eps^b Y^1 and X^eps = eps^{2b} X^1
+        path by path on the same draws, which `tail_ladder` uses."""
+        return self.kind is not VolKind.CONSTANT
 
 
 def linear_vol(b: float = 1.0) -> VolFunction:
@@ -512,7 +528,7 @@ def simulate(
             y[lo:hi] = yb
 
         _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, store)
-    s = seed if isinstance(seed, int) else 0
+    s = seed_label(seed)
     return GaussianPathBatch(values=x, grid=grid, seed=s), GaussianPathBatch(values=y, grid=grid, seed=s)
 
 
@@ -609,13 +625,14 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     of the random-number layout and the paths are a function of the seed and
     n_paths only. Every point reads the same Theta and Z with the same
     arithmetic, whatever else the ladder holds, so it equals a one-point run
-    at the same seed bit for bit. Z's last m columns, and with rho != 0 all
-    of them, enter one GEMM per distinct beta_eff (one for a Tails ladder)
-    with (F [U, L22])^T, F the by-parts fOU map and [U, L22] the W^H rows of
-    the factor of _joint_bm_fbm_cholesky; a point scales the product by its
-    noise_scale to get its Y noise. X's increments are summed over each
-    coarse panel through the 0/1 fine-step -> panel matrix P and cumulated
-    over the panels.
+    at the same seed bit for bit. Per point, Z's last m columns, and with
+    rho != 0 all of them, enter one GEMM with (F [U, L22])^T, F the by-parts
+    fOU map at the point's beta_eff and [U, L22] the W^H rows of the factor
+    of _joint_bm_fbm_cholesky; the point scales the product by its
+    noise_scale to get its Y noise. (`tail_ladder` runs a Tails ladder with
+    a homogeneous vol as the single point eps = 1.) X's increments are
+    summed over each coarse panel through the 0/1 fine-step -> panel matrix
+    P and cumulated over the panels.
 
     rho != 0: Z is (rows, 2m); its first m columns give the Euler driver's
     increments dWbar_k = sqrt(dt_k) Z_k, and the fine Euler increments
@@ -641,11 +658,10 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     Blocks run on up to _WORKERS threads, worker w taking blocks w,
     w + workers, ... and writing every step into arrays it allocates once
     (numpy's RNG fill, BLAS and ufuncs release the GIL): four at rho = 0
-    with `terminal`, whatever the ladder's length. A point's scaled noise
-    and Euler step go to Z's last m columns once the block's last GEMM has
-    run, before that to the GEMM product at its group's last point. The
+    with `terminal`, whatever the ladder's length. A point's GEMM product
+    holds its scaled noise and then, at rho != 0, its fine Euler steps. The
     worker count does not change the result. The sink, and a Tabulated
-    vol's user callables, therefore run on worker threads, concurrently.
+    vol's user callables, run on worker threads, concurrently.
     """
     H = params.hurst.H
     t_coarse = grid.t
@@ -673,10 +689,6 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
         # one normal per panel for X, none when the sink takes X_T's moments
         first = 0 if moments else nx
         width, LW = first + m, L[m:, m:]
-    groups = {}  # beta_eff -> the indices of its points
-    for i, point in enumerate(points):
-        groups.setdefault(point[0], []).append(i)
-    MT = {beta: (_by_parts_matrix(t_fine, beta) @ LW).T for beta in groups}
     consts = []
     for beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol in points:
         # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
@@ -684,8 +696,8 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
         dw_coef = xnoise_coef * np.sqrt(dtf)
         drift = drift_coef * dtf
         MV = None if pathwise else np.hstack([drift[:, None] * P, (dw_coef * dw_coef)[:, None] * P])
-        consts.append((start_scale * ebt, lam_term_coef * (1.0 - ebt), noise_scale, dw_coef,
-                       drift, MV, svol))
+        consts.append(((_by_parts_matrix(t_fine, beta_eff) @ LW).T, start_scale * ebt,
+                       lam_term_coef * (1.0 - ebt), noise_scale, dw_coef, drift, MV, svol))
     gather = np.searchsorted(t_fine, t_coarse) + 1
     nb = -(-n_paths // _ROW_BLOCK)
     streams = rng.spawn(nb)
@@ -706,41 +718,39 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
             r = hi - lo
             Z, yb = Z_w[:r], y_w[:r]
             streams[b].standard_normal(out=Z)
-            for j, (beta, idx) in enumerate(groups.items()):
-                G = np.matmul(Z[:, first:], MT[beta], out=f_w[:r])
-                for i in idx:
-                    y_start, y_lam, noise_scale, dw_coef, drift, MV, svol = consts[i]
-                    tmp = Z[:, -m:] if j == len(groups) - 1 else G if i == idx[-1] else None
-                    tmp = np.multiply(G, noise_scale, out=tmp)
-                    np.multiply(theta[lo:hi, None], y_start, out=yb)
-                    yb += y_lam
-                    yb[:, 1:] += tmp
-                    sv = svol(yb[:, :-1])
-                    if not terminal:
-                        y = np.take(yb, gather, axis=1, out=g_w[:r])
-                    if pathwise:
-                        # Euler X on the fine grid
-                        dx = np.multiply(Z[:, :m], dw_coef, out=tmp)
-                        dx *= sv
-                    # Y is not read from here on (a Linear vol's sv is a view of it)
-                    s2 = np.multiply(sv, sv, out=yb[:, :-1])
-                    if moments:
-                        np.matmul(s2, MV, out=t_w[i, :r])
-                        continue
-                    d = d_w[:r]
-                    if pathwise:
-                        s2 *= drift
-                        dx += s2
-                        x = np.cumsum(np.matmul(dx, P, out=d), axis=1, out=x_w[:r])
-                    else:
-                        np.matmul(s2, MV, out=d)
-                        x = np.multiply(Z[:, :nx], np.sqrt(d[:, nx:], out=d[:, nx:]), out=x_w[:r])
-                        x += d[:, :nx]
-                        np.cumsum(x, axis=1, out=x)
-                    if terminal:
-                        t_w[i, :r] = x[:, -1]
-                    else:
-                        sink(lo, hi, x, y)
+            for i, (MT, y_start, y_lam, noise_scale, dw_coef, drift, MV, svol) in enumerate(consts):
+                # the point's Y noise, then (rho != 0) its fine Euler steps
+                f = np.matmul(Z[:, first:], MT, out=f_w[:r])
+                f *= noise_scale
+                np.multiply(theta[lo:hi, None], y_start, out=yb)
+                yb += y_lam
+                yb[:, 1:] += f
+                sv = svol(yb[:, :-1])
+                if not terminal:
+                    y = np.take(yb, gather, axis=1, out=g_w[:r])
+                if pathwise:
+                    # Euler X on the fine grid
+                    dx = np.multiply(Z[:, :m], dw_coef, out=f)
+                    dx *= sv
+                # Y is not read from here on (a Linear vol's sv is a view of it)
+                s2 = np.multiply(sv, sv, out=yb[:, :-1])
+                if moments:
+                    np.matmul(s2, MV, out=t_w[i, :r])
+                    continue
+                d = d_w[:r]
+                if pathwise:
+                    s2 *= drift
+                    dx += s2
+                    x = np.cumsum(np.matmul(dx, P, out=d), axis=1, out=x_w[:r])
+                else:
+                    np.matmul(s2, MV, out=d)
+                    x = np.multiply(Z[:, :nx], np.sqrt(d[:, nx:], out=d[:, nx:]), out=x_w[:r])
+                    x += d[:, :nx]
+                    np.cumsum(x, axis=1, out=x)
+                if terminal:
+                    t_w[i, :r] = x[:, -1]
+                else:
+                    sink(lo, hi, x, y)
             if terminal:
                 sink(lo, hi, t_w[:, :r], None)
 
@@ -779,7 +789,9 @@ def tail_estimate(params: ModelParams, law: InitialLaw, scheme: RescalingScheme,
     from n_paths simulated paths that are never held all at once. p_hat and
     std_err are Python floats.
 
-    H != 1/2: the one-point `tail_ladder`, which describes the estimator.
+    H != 1/2: the one-point `tail_ladder`, which describes the estimator. A
+    Tails estimate with a homogeneous vol runs at eps = 1 against the level
+    level eps^{-2b}.
     H = 1/2: crude. p_hat is the fraction of paths with X_T >= level and
     std_err the binomial sqrt(p_hat (1 - p_hat) / n_paths). The exact OU
     recursion runs on consecutive chunks of _H_HALF_CHUNK paths from the
@@ -806,7 +818,7 @@ def tail_estimate(params: ModelParams, law: InitialLaw, scheme: RescalingScheme,
         _simulate_h_half(params, grid, rows, rng, theta, *point, count_hits, terminal=True)
     p = sum(hits) / n_paths
     return MCEstimate(p_hat=p, std_err=math.sqrt(p * (1.0 - p) / n_paths), n_paths=n_paths,
-                      seed=seed if isinstance(seed, int) else 0,
+                      seed=seed_label(seed),
                       event=f"X({grid.t[-1]}) >= {level}")
 
 
@@ -821,17 +833,24 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
     and each block's normals once, from the seed's own generator, for every
     point (common random numbers). So each point equals `tail_estimate` at
     its eps and seed, whatever else the ladder holds, and the points are
-    correlated. Per path and point, q is
-    - rho = 0: P(X_T >= level | vol path) = ndtr((mean - level) / sqrt(var)),
-      or 1{mean >= level} where var = 0 (conditional Monte Carlo). Given its
+    correlated.
+    A Tails ladder whose vol is `homogeneous` is one pass at unit scale:
+    there Y^eps = eps^b Y^1 and X^eps = eps^{2b} X^1 path by path, so
+    P(X^eps_T >= level) = P(X^1_T >= level eps^{-2b}). The blocks simulate
+    the single point eps = 1, and point i reads X^1_T (or its moments)
+    against the level L_i = level eps_i^{-2b}. Every other ladder (SmallTime,
+    DiffusiveSmallTime, a Constant vol) simulates each eps as its own point
+    with L_i = level. Per path and point, q is
+    - rho = 0: P(X_T >= L_i | vol path) = ndtr((mean - L_i) / sqrt(var)),
+      or 1{mean >= L_i} where var = 0 (conditional Monte Carlo). Given its
       vol path, X_T is exactly N(mean, var), mean = sum_k drift_k s_k^2 and
       var = sum_k dw_coef_k^2 s_k^2 over the fine steps, so a path draws
       only its m W^H normals. q has the expectation of the hit indicator and
       never a larger variance.
-    - rho != 0: 1{X_T >= level} on simulate's X_T for the same seed (crude).
-      Given the vol path alone X_T is not Gaussian, because Wbar shares B
-      with W^H, and the joint (Wbar, W^H) factor gives no factor of the
-      drivers conditioned on B.
+    - rho != 0: 1{X_T >= L_i} on simulate's X_T for the same seed (crude),
+      at eps = 1 for a unit-scale ladder. Given the vol path alone X_T is
+      not Gaussian, because Wbar shares B with W^H, and the joint
+      (Wbar, W^H) factor gives no factor of the drivers conditioned on B.
     p_hat is the mean of q and cov the sample covariance of q divided by
     n_paths, so std_err = sqrt(sum_i (q_i - p_hat)^2) / n_paths: for 0/1
     values the binomial sqrt(p_hat (1 - p_hat) / n_paths). Each block keeps
@@ -849,22 +868,36 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
         ests = [tail_estimate(params, law, scheme, eps, grid, n_paths, child, level)
                 for eps, child in zip(eps_ladder, rng.spawn(k))]
         for est in ests:
-            est.seed = seed if isinstance(seed, int) else 0
+            est.seed = seed_label(seed)
         return ests, np.diag(np.square([est.std_err for est in ests]))
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    rng, theta, points = _prepare(params, law, scheme, eps_ladder, grid, n_paths, seed, False)
+    # Tails with a homogeneous vol: X^eps = eps^{2b} X^1 path by path, so
+    # the ladder is the point eps = 1 read at the levels level eps^{-2b}
+    unit = scheme.kind is SchemeKind.TAILS and params.vol.homogeneous
+
+    def point_level(eps):
+        if not unit:
+            return level
+        if eps == 0.0:  # X^0 = 0, so q = 1{0 >= level} on every path
+            return -math.inf if level <= 0.0 else math.inf
+        return level * eps ** (-2.0 * scheme.b)
+
+    levels = np.array([point_level(eps) for eps in eps_ladder])[:, None]
+    rng, theta, points = _prepare(params, law, scheme, [1.0] if unit else eps_ladder, grid,
+                                  n_paths, seed, False)
     # one slot per block: workers never write the same one
     nb = -(-n_paths // _ROW_BLOCK)
     sums = np.zeros((k, nb))
     co_moments = np.zeros((nb, k, k))
 
     def reduce(lo, hi, x, _):
+        # x holds one row per point: one in all for a unit-scale ladder
         if x.ndim == 2:  # X_T at rho != 0
-            q = (x >= level).astype(float)
+            q = (x >= levels).astype(float)
         else:  # the (mean | var) of X_T at rho = 0
-            gap = x[..., 0] - level
-            sd = np.sqrt(x[..., 1])
+            gap = x[..., 0] - levels
+            sd = np.broadcast_to(np.sqrt(x[..., 1]), gap.shape)
             q = (gap >= 0.0).astype(float)
             pos = sd > 0.0
             q[pos] = ndtr(gap[pos] / sd[pos])
@@ -887,7 +920,7 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
     # the block sums are exact hit counts at rho != 0
     p = sums.sum(axis=1) / n_paths
     ests = [MCEstimate(p_hat=float(p[i]), std_err=math.sqrt(m2[i, i]) / n_paths,
-                       n_paths=n_paths, seed=seed if isinstance(seed, int) else 0,
+                       n_paths=n_paths, seed=seed_label(seed),
                        event=f"X({grid.t[-1]}) >= {level}") for i in range(k)]
     return ests, m2 / n_paths**2
 

@@ -12,6 +12,7 @@ thread pool, and the ladder points of `model.tail_ladder` at H = 1/2.
 from __future__ import annotations
 
 import enum
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +62,12 @@ def make_rng(seed, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(ss.spawn(stream + 1)[stream])
 
 
+def seed_label(seed) -> int:
+    """The seed a result records: the integer itself for any integer type
+    (Python or numpy), 0 for a Generator or anything else."""
+    return int(seed) if isinstance(seed, numbers.Integral) else 0
+
+
 def _stable_cholesky(C: np.ndarray) -> np.ndarray:
     """Cholesky factor with a small diagonal jitter fallback for matrices
     that are PSD only up to roundoff. Falling back emits a RuntimeWarning
@@ -95,7 +102,7 @@ def sample_fbm(H: float, grid: TimeGrid, n_paths: int, seed) -> GaussianPathBatc
     rng = make_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     L = _stable_cholesky(fbm_covariance_matrix(H, grid))
     Z = rng.standard_normal((n_paths, grid.n))
-    return GaussianPathBatch(values=Z @ L.T, grid=grid, seed=seed if isinstance(seed, int) else 0)
+    return GaussianPathBatch(values=Z @ L.T, grid=grid, seed=seed_label(seed))
 
 
 def sample_fou(
@@ -136,7 +143,7 @@ def sample_fou(
     return GaussianPathBatch(
         values=vals,
         grid=grid,
-        seed=seed if isinstance(seed, int) else 0,
+        seed=seed_label(seed),
         construction=construction,
     )
 

@@ -26,6 +26,7 @@ from .model import (
     SchemeKind,
     simulate,
 )
+from .paths import seed_label
 from .rates import RateResult, rate_with_random_start, smalltime_rate, tail_rate
 
 
@@ -158,7 +159,7 @@ def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: i
     scheme = RescalingScheme(SchemeKind.SMALL_TIME, b=b)
     grid = TimeGrid.uniform(n_grid)
     xb, yb = simulate(params, law, scheme, eps, grid, n_paths, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([0xB00F, seed if isinstance(seed, int) else 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([0xB00F, seed_label(seed)]))
     out = []
     if method == "conditional":
         # integrated variance of the unrescaled log-price over [0, t]: the

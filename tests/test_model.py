@@ -200,6 +200,22 @@ class TestSimulate:
         assert np.array_equal(xa.values, xb.values)
         assert np.array_equal(ya.values, yb.values)
 
+    @pytest.mark.parametrize("H", [0.3, 0.5])
+    def test_numpy_integer_seed_is_recorded(self, H):
+        # a numpy integer seeds the same draws as the Python int and is
+        # recorded as itself, not as 0
+        params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75))
+        args = (params, point_law(0.1), RescalingScheme(SchemeKind.TAILS, b=0.75))
+        grid = TimeGrid.uniform(16)
+        for seed in (np.int64(7), np.uint32(7)):
+            xb, yb = simulate(*args, 0.5, grid, 20, seed)
+            assert (xb.seed, yb.seed) == (7, 7)
+            assert np.array_equal(xb.values, simulate(*args, 0.5, grid, 20, 7)[0].values)
+            est = tail_estimate(*args, 0.5, grid, 50, seed, 0.0)
+            assert est.seed == 7 and type(est.seed) is int
+            ests, _ = tail_ladder(*args, [0.7, 0.5], grid, 50, seed, 0.0)
+            assert [e.seed for e in ests] == [7, 7]
+
     @staticmethod
     def _check_gaussian_control(hurst):
         # constant vol c, rho = 0: X^eps_1 ~ N(-c^2/2, eps^{2b} c^2) exactly
@@ -575,12 +591,20 @@ class TestTailEstimate:
                 TimeGrid.uniform(n), n_paths)
 
     def test_rho_nonzero_count_equals_simulate(self):
-        # rho != 0 draws and computes as simulate does, so the counts agree exactly
-        args = self._args(rho=-0.4)
-        x1 = simulate(*args, seed=4)[0].values[:, -1]
-        for level in np.quantile(x1, [0.1, 0.5, 0.9]):
-            est = tail_estimate(*args, seed=4, level=level)
-            assert est.p_hat == np.count_nonzero(x1 >= level) / x1.size
+        # rho != 0 draws and computes as simulate does, so the counts agree
+        # exactly: a Tails estimate counts simulate's X_T at eps = 1 against
+        # level eps^{-2b} (X^eps = eps^{2b} X^1 on the same draws), a
+        # SmallTime one simulate's X_T at its own eps against the level
+        params, law, scheme, eps, grid, n_paths = self._args(rho=-0.4)
+        x1 = simulate(params, law, scheme, 1.0, grid, n_paths, seed=4)[0].values[:, -1]
+        for level in np.quantile(eps ** (2 * scheme.b) * x1, [0.1, 0.5, 0.9]):
+            est = tail_estimate(params, law, scheme, eps, grid, n_paths, seed=4, level=level)
+            assert est.p_hat == np.count_nonzero(x1 >= level * eps ** (-2.0 * scheme.b)) / n_paths
+        small = RescalingScheme(SchemeKind.SMALL_TIME, b=0.75)
+        x = simulate(params, law, small, eps, grid, n_paths, seed=4)[0].values[:, -1]
+        for level in np.quantile(x, [0.1, 0.5, 0.9]):
+            est = tail_estimate(params, law, small, eps, grid, n_paths, seed=4, level=level)
+            assert est.p_hat == np.count_nonzero(x >= level) / n_paths
 
     def test_rho_zero_terminal_draw(self):
         # at rho = 0 a block draws Z of shape (rows, m), the W^H normals only.
@@ -756,6 +780,65 @@ class TestTailLadder:
             model._WORKERS = saved
         assert [(e.p_hat, e.std_err) for e in ests] == [(r.p_hat, r.std_err) for r in refs]
         assert np.allclose(np.diag(cov), [e.std_err**2 for e in ests], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.4])
+    @pytest.mark.parametrize("vol", [
+        linear_vol(b=0.75),
+        affine_abs_vol(0.2, 1.0, b=0.75),
+        model.VolFunction(kind="Tabulated", b=0.75, sigma_fn=lambda y: 0.3 + np.sin(3.0 * y) ** 2,
+                          sigma_tilde_fn=lambda y: np.sin(3.0 * y) ** 2),
+    ], ids=["Linear", "AffineAbs", "Tabulated"])
+    def test_unit_scale_ladder_matches_each_point(self, vol, rho):
+        # a Tails ladder is one pass at eps = 1 read at the levels
+        # level eps^{-2b}; each point must match the estimate from
+        # _simulate_general run at its own eps
+        params = ModelParams(lam=0.2, rho=rho, hurst=HurstParams(0.3), vol=vol)
+        law, scheme = uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75)
+        grid, n_paths, seed, level = TimeGrid.uniform(16), model._ROW_BLOCK + 37, 9, 0.05
+        ests, _ = tail_ladder(params, law, scheme, self.EPS, grid, n_paths, seed, level)
+        for eps, est in zip(self.EPS, ests):
+            rng, theta, points = model._prepare(params, law, scheme, [eps], grid, n_paths, seed,
+                                                False)
+            out = []
+            model._simulate_general(params, grid, n_paths, rng, theta, points, model._N_FINE,
+                                    lambda lo, hi, x, _: out.append((lo, x[0].copy())),
+                                    terminal=True)
+            x = np.concatenate([x for _, x in sorted(out, key=lambda o: o[0])])
+            q = (x >= level).astype(float) if rho else ndtr((x[:, 0] - level) / np.sqrt(x[:, 1]))
+            p = q.mean()
+            se = math.sqrt(np.sum((q - p) ** 2)) / n_paths
+            assert 0.01 < p < 0.99
+            assert abs(est.p_hat - p) <= 1e-12 * p
+            assert abs(est.std_err - se) <= 1e-12 * se
+
+    @pytest.mark.parametrize("rho", [0.0, -0.4])
+    def test_eps_zero_point_is_deterministic(self, rho):
+        # X^0 = 0 on every path, so its q is 1{0 >= level}: the unit-scale
+        # ladder reads it against an infinite level
+        params = ModelParams(rho=rho, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        args = (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75))
+        for level, p in ((-0.05, 1.0), (0.0, 1.0), (0.05, 0.0)):
+            ests, _ = tail_ladder(*args, [0.0, 0.5], TimeGrid.uniform(16), 100, 9, level)
+            assert (ests[0].p_hat, ests[0].std_err) == (p, 0.0)
+            assert ests[1].p_hat == tail_estimate(*args, 0.5, TimeGrid.uniform(16), 100, 9,
+                                                  level).p_hat
+
+    @pytest.mark.parametrize("rho", [0.0, -0.4])
+    def test_constant_vol_ladder_runs_per_point(self, rho):
+        # a Constant vol does not rescale, so X^eps is not eps^{2b} X^1: the
+        # ladder keeps one point per eps, each its one-point estimate
+        assert not constant_vol(1.0).homogeneous
+        params = ModelParams(xi=0.5, rho=rho, hurst=HurstParams(0.3), vol=constant_vol(0.8, b=0.6))
+        args = (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.6))
+        grid, n_paths, level = TimeGrid.uniform(16), model._ROW_BLOCK + 37, 0.1
+        ests, _ = tail_ladder(*args, self.EPS, grid, n_paths, 9, level)
+        refs = [tail_estimate(*args, eps, grid, n_paths, 9, level) for eps in self.EPS]
+        assert [(e.p_hat, e.std_err) for e in ests] == [(r.p_hat, r.std_err) for r in refs]
+        # X_T ~ N(-c^2 / 2, eps^{2b} c^2) at rho = 0; the levels did not scale
+        if not rho:
+            for eps, est in zip(self.EPS, ests):
+                ref = norm.sf((level + 0.5 * 0.64) / (eps**0.6 * 0.8))
+                assert est.p_hat == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_covariance_is_honest(self):
         # the reported p_hat covariance against the spread of the p_hats over

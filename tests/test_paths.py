@@ -41,6 +41,12 @@ class TestFbmCovariance:
 
 
 class TestSampleFbm:
+    def test_numpy_integer_seed_is_recorded(self):
+        g = TimeGrid.uniform(6)
+        assert sample_fbm(0.3, g, 5, seed=np.int64(5)).seed == 5
+        assert sample_fou(0.3, -1.0, 1.0, g, 5, seed=np.int64(5)).seed == 5
+        assert sample_fbm(0.3, g, 5, seed=make_rng(5)).seed == 0
+
     def test_deterministic_seed(self):
         g = TimeGrid.uniform(6)
         a = sample_fbm(0.3, g, 50, seed=5)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from fracldp import (
@@ -129,6 +131,24 @@ class TestBlackScholes:
             price = bs_call_price(1.0, strike, t, vol)
             assert bs_implied_vol(price, 1.0, strike, t) == pytest.approx(vol, abs=1e-8)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(k=st.floats(-1.0, 1.0), t=st.floats(0.1, 2.0), vol=st.floats(0.05, 2.0))
+    def test_roundtrip_property(self, k, t, vol):
+        # wherever a 1e-8 move in vol moves the price by more than its
+        # rounding, inversion recovers vol to 1e-8. The rounding is a few
+        # ulps of the price's two terms, and never less than the smallest
+        # normal double: below it ndtr flushes to 0 (k = 0.6, t = 0.1,
+        # vol = 0.05 has vega 5.6e-311 but a computed price of exactly 0,
+        # which inverts to 0)
+        strike = math.exp(k)
+        sd = vol * math.sqrt(t)
+        d1 = (-k + 0.5 * sd * sd) / sd
+        vega = math.sqrt(t) * norm.pdf(d1)
+        rounding = 4 * np.finfo(float).eps * (ndtr(d1) + strike * ndtr(d1 - sd))
+        assume(vega * 1e-8 > rounding + np.finfo(float).tiny)
+        price = bs_call_price(1.0, strike, t, vol)
+        assert bs_implied_vol(price, 1.0, strike, t) == pytest.approx(vol, abs=1e-8)
+
     def test_price_at_intrinsic(self):
         assert bs_implied_vol(0.25, 1.25, 1.0, 1.0) == 0.0
 
@@ -158,6 +178,14 @@ class TestMcSmile:
         for p in pts:
             assert not p.censored
             assert abs(p.implied_vol - c) <= max(3 * p.std_err, 5e-3)
+
+    def test_numpy_integer_seed_gives_the_same_error_bars(self):
+        # the bootstrap stream is keyed on the seed's value, whatever its type
+        params = ModelParams(lam=0.0, beta=-1.0, xi=1.0, rho=0.0, vol=linear_vol(b=0.5))
+        args = (params, point_law(0.2), 0.25, [0.0, 0.1], 5000)
+        ref = mc_smile(*args, seed=7, n_grid=16, n_boot=20)
+        got = mc_smile(*args, seed=np.int64(7), n_grid=16, n_boot=20)
+        assert [(p.implied_vol, p.std_err) for p in got] == [(p.implied_vol, p.std_err) for p in ref]
 
     def test_strike_order_preserved(self):
         params = ModelParams(lam=0.0, beta=-1.0, xi=0.0, rho=0.0,
