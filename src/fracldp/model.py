@@ -436,9 +436,19 @@ _joint_chol_cache: dict = {}
 
 # Rows per block of _simulate_general. Part of the seed layout: block b
 # draws from the b-th child stream, so changing this changes the paths for a
-# given seed. Each worker thread reuses one block's arrays, so this also
-# bounds the memory a tail estimate at H != 1/2 holds.
+# given seed.
 _ROW_BLOCK = 2048
+
+# Rows per tile: a worker runs a block of r rows as round(r / _TILE)
+# consecutive tiles, all but the last of _TILE rows, drawn in order from the
+# block's stream, so that its arrays stay in a core's cache. Not part of the
+# seed layout: a row's bits do not depend on its tile. BLAS can round a GEMM
+# of a few rows differently (numpy sends one row to gemv; OpenBLAS on AVX-512
+# has a small-matrix kernel for at most 1200 outputs), so a remainder of
+# fewer than _TILE // 2 rows joins the last tile. This bounds the memory a
+# tail estimate at H != 1/2 holds. 256 ran as fast as 512 and faster than
+# 128 or whole blocks.
+_TILE = 256
 
 # Fine-grid steps of the H != 1/2 simulation over (0, T].
 _N_FINE = 128
@@ -648,20 +658,25 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     (rows, m), and each point ends at each path's (mean | var), the exact
     conditional law N(mean, var) of X_T given its vol path.
 
-    Without `terminal`, block b calls sink(lo, hi, x, y) once per point with
-    rows lo:hi of X and Y at the grid nodes. With `terminal` it calls
-    sink(lo, hi, x, None) once, after the last point, with x the (k, rows)
+    A block runs as tiles of about _TILE rows (see there), each drawing its
+    rows of Z from the block's stream in order, which gives the bits of one
+    block-sized draw; every step above works on one tile at a time.
+    Without `terminal`, each tile calls sink(lo, hi, x, y) once per point with
+    rows lo:hi of X and Y at the grid nodes. With `terminal` each tile writes
+    its rows of the block's X_T or (mean | var), and the block calls
+    sink(lo, hi, x, None) once, after its last tile, with x the (k, rows)
     X_T of the k points at rho != 0 and their (k, rows, 2) (mean | var) at
-    rho = 0. These are the worker's own arrays, which its next block
+    rho = 0. These are the worker's own arrays, which its next tile or block
     overwrites, so the sink copies or reduces them before it returns.
 
     Blocks run on up to _WORKERS threads, worker w taking blocks w,
     w + workers, ... and writing every step into arrays it allocates once
-    (numpy's RNG fill, BLAS and ufuncs release the GIL): four at rho = 0
-    with `terminal`, whatever the ladder's length. A point's GEMM product
-    holds its scaled noise and then, at rho != 0, its fine Euler steps. The
-    worker count does not change the result. The sink, and a Tabulated
-    vol's user callables, run on worker threads, concurrently.
+    (numpy's RNG fill, BLAS and ufuncs release the GIL): at rho = 0 with
+    `terminal`, Z, Y and the GEMM product of one tile and the block's
+    (mean | var), whatever the ladder's length. A point's GEMM product holds
+    its scaled noise and then, at rho != 0, its fine Euler steps. Neither the
+    worker count nor the tile size changes the result. The sink, and a
+    Tabulated vol's user callables, run on worker threads, concurrently.
     """
     H = params.hurst.H
     t_coarse = grid.t
@@ -704,55 +719,59 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     workers = min(nb, _WORKERS)
 
     def work(w):
-        R = min(n_paths, _ROW_BLOCK)
+        B = min(n_paths, _ROW_BLOCK)
+        R = min(B, _TILE + _TILE // 2)  # the most rows a tile holds
         Z_w = np.empty((R, width))
         y_w = np.empty((R, m + 1))
         f_w = np.empty((R, m))
-        t_w = np.empty((k, R, 2) if moments else (k, R)) if terminal else None
+        t_w = np.empty((k, B, 2) if moments else (k, B)) if terminal else None
         # (mean | var) at rho = 0, the panel sums dx @ P otherwise
         d_w = None if moments else np.empty((R, nx if pathwise else 2 * nx))
         x_w = None if moments else np.empty((R, nx))
         g_w = None if terminal else np.empty((R, n))
         for b in range(w, nb, workers):
             lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
-            r = hi - lo
-            Z, yb = Z_w[:r], y_w[:r]
-            streams[b].standard_normal(out=Z)
-            for i, (MT, y_start, y_lam, noise_scale, dw_coef, drift, MV, svol) in enumerate(consts):
-                # the point's Y noise, then (rho != 0) its fine Euler steps
-                f = np.matmul(Z[:, first:], MT, out=f_w[:r])
-                f *= noise_scale
-                np.multiply(theta[lo:hi, None], y_start, out=yb)
-                yb += y_lam
-                yb[:, 1:] += f
-                sv = svol(yb[:, :-1])
-                if not terminal:
-                    y = np.take(yb, gather, axis=1, out=g_w[:r])
-                if pathwise:
-                    # Euler X on the fine grid
-                    dx = np.multiply(Z[:, :m], dw_coef, out=f)
-                    dx *= sv
-                # Y is not read from here on (a Linear vol's sv is a view of it)
-                s2 = np.multiply(sv, sv, out=yb[:, :-1])
-                if moments:
-                    np.matmul(s2, MV, out=t_w[i, :r])
-                    continue
-                d = d_w[:r]
-                if pathwise:
-                    s2 *= drift
-                    dx += s2
-                    x = np.cumsum(np.matmul(dx, P, out=d), axis=1, out=x_w[:r])
-                else:
-                    np.matmul(s2, MV, out=d)
-                    x = np.multiply(Z[:, :nx], np.sqrt(d[:, nx:], out=d[:, nx:]), out=x_w[:r])
-                    x += d[:, :nx]
-                    np.cumsum(x, axis=1, out=x)
-                if terminal:
-                    t_w[i, :r] = x[:, -1]
-                else:
-                    sink(lo, hi, x, y)
+            # a remainder of fewer than _TILE // 2 rows joins the tile before it
+            cuts = range(lo + _TILE, hi - _TILE // 2 + 1, _TILE)
+            for tlo, thi in zip([lo, *cuts], [*cuts, hi]):
+                r, rows = thi - tlo, slice(tlo - lo, thi - lo)
+                Z, yb = Z_w[:r], y_w[:r]
+                streams[b].standard_normal(out=Z)
+                for i, (MT, y_start, y_lam, noise_scale, dw_coef, drift, MV, svol) in enumerate(consts):
+                    # the point's Y noise, then (rho != 0) its fine Euler steps
+                    f = np.matmul(Z[:, first:], MT, out=f_w[:r])
+                    f *= noise_scale
+                    np.multiply(theta[tlo:thi, None], y_start, out=yb)
+                    yb += y_lam
+                    yb[:, 1:] += f
+                    sv = svol(yb[:, :-1])
+                    if not terminal:
+                        y = np.take(yb, gather, axis=1, out=g_w[:r])
+                    if pathwise:
+                        # Euler X on the fine grid
+                        dx = np.multiply(Z[:, :m], dw_coef, out=f)
+                        dx *= sv
+                    # Y is not read from here on (a Linear vol's sv is a view of it)
+                    s2 = np.multiply(sv, sv, out=yb[:, :-1])
+                    if moments:
+                        np.matmul(s2, MV, out=t_w[i, rows])
+                        continue
+                    d = d_w[:r]
+                    if pathwise:
+                        s2 *= drift
+                        dx += s2
+                        x = np.cumsum(np.matmul(dx, P, out=d), axis=1, out=x_w[:r])
+                    else:
+                        np.matmul(s2, MV, out=d)
+                        x = np.multiply(Z[:, :nx], np.sqrt(d[:, nx:], out=d[:, nx:]), out=x_w[:r])
+                        x += d[:, :nx]
+                        np.cumsum(x, axis=1, out=x)
+                    if terminal:
+                        t_w[i, rows] = x[:, -1]
+                    else:
+                        sink(tlo, thi, x, y)
             if terminal:
-                sink(lo, hi, t_w[:, :r], None)
+                sink(lo, hi, t_w[:, :hi - lo], None)
 
     if workers == 1:
         work(0)

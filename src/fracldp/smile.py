@@ -107,7 +107,12 @@ def bs_call_price(forward: float, strike: float, maturity: float, vol: float) ->
 
 
 def bs_implied_vol(price: float, forward: float, strike: float, maturity: float) -> float:
-    """Invert the Black-Scholes call price in volatility; tolerance 1e-10."""
+    """Invert the Black-Scholes call price in volatility; tolerance 1e-10.
+
+    A price at intrinsic value gives 0.0, except out of the money (strike >
+    forward): there every vol small enough for the price to underflow gives
+    exactly 0, so a zero price identifies no vol and raises DomainError.
+    """
     if forward <= 0 or strike <= 0 or maturity <= 0:
         raise DomainError("forward, strike and maturity must be positive")
     intrinsic = max(forward - strike, 0.0)
@@ -116,6 +121,8 @@ def bs_implied_vol(price: float, forward: float, strike: float, maturity: float)
             f"price {price} outside no-arbitrage bounds [{intrinsic}, {forward})"
         )
     if price <= intrinsic:
+        if strike > forward:
+            raise DomainError(f"price {price} of an out-of-the-money call identifies no vol")
         return 0.0
     f = lambda v: bs_call_price(forward, strike, maturity, v) - price
     hi = 1.0

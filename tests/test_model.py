@@ -537,8 +537,8 @@ class TestRoughSimulationLayout:
         t = (np.arange(1, 17) / 16.0) ** 2
         grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(t, prepend=0.0)))
         xb, _ = simulate(params, point_law(0.1), scheme, eps, grid, rows, seed=6, n_fine=n_fine)
-        (out,) = seen  # one block: the vol at the fine steps' left ends
-        sv2 = (eps**b * out) ** 2
+        # one block, run as tiles in row order: the vol at the fine steps' left ends
+        sv2 = (eps**b * np.concatenate(seen)) ** 2
         # a Point law draws nothing, so block 0 reads child stream 0 of the seed
         t_fine = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_fine + 1)[1:], t]))
         Z = make_rng(6).spawn(1)[0].standard_normal((rows, t.size + t_fine.size))
@@ -553,6 +553,35 @@ class TestRoughSimulationLayout:
             left = tk
         ref = np.cumsum(mean + np.sqrt(var) * Z[:, : t.size], axis=1)
         assert np.max(np.abs(xb.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rho", [0.0, -0.4])
+    @pytest.mark.parametrize("n_paths", [2 * model._ROW_BLOCK + 257, model._ROW_BLOCK + 1])
+    def test_tile_size_does_not_change_results(self, monkeypatch, rho, n_paths):
+        # the tile is not part of the seed layout: one tile per block, 32-row
+        # tiles, a non-divisor of the block and the default give the same bits.
+        # A last block of 257 rows leaves a 1-row remainder after 256- and
+        # 32-row tiles, which joins the last tile; a block of 1 row is its own
+        params = ModelParams(lam=0.2, rho=rho, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        law, grid = uniform_law(-0.5, 0.5), TimeGrid.uniform(16)
+        tails, small = (RescalingScheme(kind, b=0.75)
+                        for kind in (SchemeKind.TAILS, SchemeKind.SMALL_TIME))
+
+        def run():
+            ladders = [tail_ladder(params, law, scheme, [0.7, 0.5], grid, n_paths, 9, 0.05)
+                       for scheme in (tails, small)]
+            x, y = simulate(params, law, small, 0.5, grid, n_paths, seed=9)
+            return [[(e.p_hat, e.std_err) for e in ests] for ests, _ in ladders], \
+                [cov for _, cov in ladders], x.values, y.values
+
+        tiles = (model._TILE, 32, 300)
+        monkeypatch.setattr(model, "_TILE", model._ROW_BLOCK)
+        estimates, covs, x, y = run()
+        for tile in tiles:
+            monkeypatch.setattr(model, "_TILE", tile)
+            got = run()
+            assert got[0] == estimates
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], covs))
+            assert np.array_equal(got[2], x) and np.array_equal(got[3], y)
 
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
     def test_rho_zero_law_matches_pathwise_euler(self, H):
@@ -899,6 +928,24 @@ class TestTailLadder:
         finally:
             tracemalloc.stop()
         assert peak < 17e6
+
+    @pytest.mark.parametrize("rho", [0.0, -0.4])
+    def test_memory_is_per_tile(self, monkeypatch, rho):
+        # two workers hold one tile of at most 257 rows each, Theta (0.8 MB)
+        # and a block's (mean | var) or X_T: 3.2 MB at rho = 0 and 4.0 MB at
+        # rho = -0.4, where whole 2048-row blocks took 14 and 21 MB
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        params = ModelParams(rho=rho, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        args = (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75),
+                self.EPS, TimeGrid.uniform(32))
+        tail_ladder(*args, 100, 3, 0.0)  # the joint factor, cached, is not counted
+        tracemalloc.start()
+        try:
+            tail_ladder(*args, 100_000, 3, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestTailProbabilityAndSlope:

@@ -139,7 +139,7 @@ class TestBlackScholes:
         # ulps of the price's two terms, and never less than the smallest
         # normal double: below it ndtr flushes to 0 (k = 0.6, t = 0.1,
         # vol = 0.05 has vega 5.6e-311 but a computed price of exactly 0,
-        # which inverts to 0)
+        # from which no vol can be recovered)
         strike = math.exp(k)
         sd = vol * math.sqrt(t)
         d1 = (-k + 0.5 * sd * sd) / sd
@@ -151,6 +151,15 @@ class TestBlackScholes:
 
     def test_price_at_intrinsic(self):
         assert bs_implied_vol(0.25, 1.25, 1.0, 1.0) == 0.0
+
+    def test_underflowed_price_is_rejected(self):
+        # out of the money, every vol up to about 0.05 prices to exactly 0
+        # here, so a zero price has no implied vol rather than 0.0
+        strike, t = math.exp(0.6016), 0.1016
+        price = bs_call_price(1.0, strike, t, 0.05)
+        assert price == 0.0
+        with pytest.raises(DomainError):
+            bs_implied_vol(price, 1.0, strike, t)
 
     def test_bounds(self):
         with pytest.raises(DomainError):
