@@ -439,15 +439,17 @@ _joint_chol_cache: dict = {}
 # given seed.
 _ROW_BLOCK = 2048
 
-# Rows per tile: a worker runs a block of r rows as round(r / _TILE)
-# consecutive tiles, all but the last of _TILE rows, drawn in order from the
-# block's stream, so that its arrays stay in a core's cache. Not part of the
-# seed layout: a row's bits do not depend on its tile. BLAS can round a GEMM
-# of a few rows differently (numpy sends one row to gemv; OpenBLAS on AVX-512
-# has a small-matrix kernel for at most 1200 outputs), so a remainder of
-# fewer than _TILE // 2 rows joins the last tile. This bounds the memory a
-# tail estimate at H != 1/2 holds. 256 ran as fast as 512 and faster than
-# 128 or whole blocks.
+# Rows per tile: a worker runs a block as consecutive tiles of _TILE rows,
+# drawn in order from the block's stream, so that its arrays stay in a
+# core's cache. Not part of the seed layout: a row's bits do not depend on
+# its tile. BLAS can round the rows of a GEMM with few rows differently
+# (numpy sends one row to gemv; OpenBLAS on AVX-512 does so up to 9 rows at
+# m = 128, and up to more at smaller m), so a remainder of fewer than
+# _TILE // 2 rows joins the last tile. One exception was measured: at
+# rho = 0 with m > 244 fine nodes, OpenBLAS forms a whole block's and a
+# tile's terminal (mean | var) with different kernels, and tail estimates
+# move in the last bits. This bounds the memory a tail estimate at H != 1/2
+# holds. 256 ran as fast as 512 and faster than 128 or whole blocks.
 _TILE = 256
 
 # Fine-grid steps of the H != 1/2 simulation over (0, T].
@@ -674,9 +676,10 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     (numpy's RNG fill, BLAS and ufuncs release the GIL): at rho = 0 with
     `terminal`, Z, Y and the GEMM product of one tile and the block's
     (mean | var), whatever the ladder's length. A point's GEMM product holds
-    its scaled noise and then, at rho != 0, its fine Euler steps. Neither the
-    worker count nor the tile size changes the result. The sink, and a
-    Tabulated vol's user callables, run on worker threads, concurrently.
+    its scaled noise and then, at rho != 0, its fine Euler steps. The worker
+    count does not change the result, nor, with the exception at _TILE, the
+    tile size. The sink, and a Tabulated vol's user callables, run on worker
+    threads, concurrently.
     """
     H = params.hurst.H
     t_coarse = grid.t

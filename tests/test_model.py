@@ -537,7 +537,7 @@ class TestRoughSimulationLayout:
         t = (np.arange(1, 17) / 16.0) ** 2
         grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(t, prepend=0.0)))
         xb, _ = simulate(params, point_law(0.1), scheme, eps, grid, rows, seed=6, n_fine=n_fine)
-        # one block, run as tiles in row order: the vol at the fine steps' left ends
+        # one block, its tiles' calls in row order: the vol at the fine steps' left ends
         sv2 = (eps**b * np.concatenate(seen)) ** 2
         # a Point law draws nothing, so block 0 reads child stream 0 of the seed
         t_fine = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_fine + 1)[1:], t]))
@@ -555,12 +555,14 @@ class TestRoughSimulationLayout:
         assert np.max(np.abs(xb.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("rho", [0.0, -0.4])
-    @pytest.mark.parametrize("n_paths", [2 * model._ROW_BLOCK + 257, model._ROW_BLOCK + 1])
+    @pytest.mark.parametrize("n_paths", [2 * model._ROW_BLOCK + d for d in (257, 261)]
+                             + [model._ROW_BLOCK + 1])
     def test_tile_size_does_not_change_results(self, monkeypatch, rho, n_paths):
         # the tile is not part of the seed layout: one tile per block, 32-row
         # tiles, a non-divisor of the block and the default give the same bits.
-        # A last block of 257 rows leaves a 1-row remainder after 256- and
-        # 32-row tiles, which joins the last tile; a block of 1 row is its own
+        # A last block of 257 or 261 rows leaves a 1- or 5-row remainder after
+        # 256- and 32-row tiles, which joins the last tile (BLAS rounds a
+        # GEMM of so few rows differently); a block of 1 row is one tile
         params = ModelParams(lam=0.2, rho=rho, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
         law, grid = uniform_law(-0.5, 0.5), TimeGrid.uniform(16)
         tails, small = (RescalingScheme(kind, b=0.75)
@@ -931,9 +933,9 @@ class TestTailLadder:
 
     @pytest.mark.parametrize("rho", [0.0, -0.4])
     def test_memory_is_per_tile(self, monkeypatch, rho):
-        # two workers hold one tile of at most 257 rows each, Theta (0.8 MB)
-        # and a block's (mean | var) or X_T: 3.2 MB at rho = 0 and 4.0 MB at
-        # rho = -0.4, where whole 2048-row blocks took 14 and 21 MB
+        # two workers hold one tile of at most 383 rows each, Theta (0.8 MB)
+        # and a block's (mean | var) or X_T: 4.0 MB at rho = 0 and 5.2 MB at
+        # rho = -0.4, where whole 2048-row blocks took 14.3 and 20.5 MB
         monkeypatch.setattr(model, "_WORKERS", 2)
         params = ModelParams(rho=rho, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
         args = (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75),
