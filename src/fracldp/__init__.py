@@ -62,7 +62,6 @@ from .rates import (
     ControlVector,
     RateResult,
     VariationalProblem,
-    brute_force_rate,
     path_from_controls,
     penalized_objective,
     rate_with_random_start,

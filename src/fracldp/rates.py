@@ -10,6 +10,9 @@ For fixed f (and start) the constraint is linear in g, so the cheapest g is
 explicit; `solve` minimises the resulting reduced energy over f (and the
 start) alone, by multistart L-BFGS-B. An inequality constraint that the
 zero control misses binds, so it is solved as the equality at its level.
+From the start 0 with a degree-1 homogeneous sigma_tilde, the rate at level
+l is |l| times the rate at sign(l), so such problems share one memoised
+solve per sign.
 """
 
 from __future__ import annotations
@@ -90,6 +93,11 @@ class VariationalProblem:
 
 @dataclass
 class RateResult:
+    """Outcome of one rate problem. `iterations` counts the L-BFGS-B
+    iterations of the solves this call ran: a problem that reuses a
+    memoised unit-level solve (see `_solve_equality`) reports 0, and the
+    call that ran the unit solve reports that solve's count."""
+
     value: float
     controls: ControlVector
     y_path: np.ndarray
@@ -242,20 +250,90 @@ def _reduced_objective(problem: VariationalProblem, level: float, A: np.ndarray,
     return J, controls
 
 
+# unit-level equality solves of homogeneous problems, one per key of
+# `_solve_equality`; the results are never handed out, only scaled copies
+_unit_solves: dict = {}
+
+
+def _check_run(problem, A, hom, f, g, u, level):
+    """Energy, |x_T - level|, least-squares KKT residual of the full problem,
+    and whether that residual is at most `KKT_TOL` times max(1, norm of the
+    energy gradient), for the controls (f, g) from start u."""
+    w = problem.grid.w
+    xT, gf, gg, _ = _terminal_and_grad(problem, A, hom, f, g, u)
+    energy = 0.5 * float(w @ (f * f) + w @ (g * g))
+    # least-squares KKT multiplier for the reported stationarity residual
+    ge = np.concatenate([w * f, w * g])
+    gr = np.concatenate([gf, gg])
+    denom = float(gr @ gr)
+    lam = -float(ge @ gr) / denom if denom > 0 else 0.0
+    kkt = float(np.linalg.norm(ge + lam * gr))
+    return energy, abs(xT - level), kkt, kkt <= KKT_TOL * max(1.0, float(np.linalg.norm(ge)))
+
+
+def _infeasible(problem, iterations, level) -> RateResult:
+    n = problem.grid.n
+    zero = ControlVector(np.zeros(n), np.zeros(n))
+    lo = problem.start[0]
+    y, x = path_from_controls(problem, zero, start=lo)
+    return RateResult(INFEASIBLE, zero, y, x, lo, False, iterations, math.nan, level)
+
+
 def _solve_equality(problem: VariationalProblem, level: float,
                     feas_tol: float = 1e-6) -> RateResult:
     """Minimise the control energy subject to x_terminal = level.
+
+    A problem from the fixed start 0 at level l != 0 whose sigma_tilde is
+    positively homogeneous of degree 1 (`VolFunction.tilde_homogeneous`) is
+    exactly homogeneous on the grid: scaling (f, g) by lam scales y by lam
+    and x by lam^2, drift term included, and the energy by lam^2, for every
+    kernel and constraint node. Such a problem runs `_multistart` once at
+    level sign(l), memoised per (kernel, vol kind, c1, grid, rho, drift,
+    constraint node, sign), and returns those controls scaled by sqrt|l|,
+    with the paths rebuilt and the energy, feasibility and KKT residual
+    checked again at l exactly as each multistart run is. `converged` needs
+    the unit solve's as well. A failed unit solve or a scaled check that
+    fails gives INFEASIBLE. Every other problem (free or nonzero start,
+    Constant or Tabulated vol, l = 0) runs `_multistart` at l.
+    """
+    vol = problem.vol
+    lo, hi = problem.start
+    if lo != 0.0 or hi != 0.0 or level == 0.0 or not vol.tilde_homogeneous:
+        return _multistart(problem, level, feas_tol)
+    sign = math.copysign(1.0, level)
+    key = (problem.kernel, vol.kind, vol.c1, problem.grid, problem.rho,
+           problem.include_drift, problem.node_index, sign)
+    unit = _unit_solves.get(key)
+    iterations = 0
+    if unit is None:
+        unit = _unit_solves[key] = _multistart(problem, sign, feas_tol)
+        iterations = unit.iterations
+    if unit.value == INFEASIBLE:
+        return _infeasible(problem, iterations, level)
+    lam = math.sqrt(abs(level))
+    f, g = lam * unit.controls.f, lam * unit.controls.g
+    A = operator_matrix(problem.kernel, problem.grid)
+    hom = problem.homogeneous_factor()
+    energy, r, kkt, kkt_ok = _check_run(problem, A, hom, f, g, 0.0, level)
+    if r > feas_tol:
+        return _infeasible(problem, iterations, level)
+    cv = ControlVector(f, g)
+    y, x = path_from_controls(problem, cv, start=0.0)
+    return RateResult(energy, cv, y, x, 0.0, unit.converged and kkt_ok, iterations, kkt, level)
+
+
+def _multistart(problem: VariationalProblem, level: float, feas_tol: float) -> RateResult:
+    """`_solve_equality` at `level` without rescaling.
 
     Multistart L-BFGS-B on the reduced objective of `_reduced_objective`
     (g eliminated in closed form; bounds on u only when the start is
     free), one run per distinct (f0, u0) start. A start where S = 0 cannot
     be evaluated and is skipped. Each run's (f, g*, u) is checked against
-    the constraint through `_terminal_and_grad`, and the feasible run of
-    least energy wins. `converged` needs L-BFGS-B to stop for another
-    reason than its iteration limit (status 1), and the least-squares KKT
-    residual of the full problem to be at most `KKT_TOL` times max(1, norm
-    of the energy gradient). Feasibility holds by construction, so it
-    cannot tell a converged run from a cut-off one.
+    the constraint by `_check_run`, and the feasible run of least energy
+    wins. `converged` needs L-BFGS-B to stop for another reason than its
+    iteration limit (status 1), and the KKT residual to pass. Feasibility
+    holds by construction, so it cannot tell a converged run from a cut-off
+    one.
     """
     grid = problem.grid
     n = grid.n
@@ -263,15 +341,12 @@ def _solve_equality(problem: VariationalProblem, level: float,
     free_start = hi > lo
     A = operator_matrix(problem.kernel, grid)
     hom = problem.homogeneous_factor()
-    w = grid.w
 
     # infeasibility screen: if the vol function vanishes identically on the
     # reachable paths, the constraint gradient is zero everywhere
     probe = np.max(np.abs(problem.vol.sigma_tilde(np.linspace(-10, 10, 41))))
     if probe == 0.0 and abs(level) > feas_tol:
-        zero = ControlVector(np.zeros(n), np.zeros(n))
-        y, x = path_from_controls(problem, zero, start=lo)
-        return RateResult(INFEASIBLE, zero, y, x, lo, False, 0, math.nan, level)
+        return _infeasible(problem, 0, level)
 
     J, controls = _reduced_objective(problem, level, A, hom)
     ones = np.ones(n)
@@ -293,22 +368,11 @@ def _solve_equality(problem: VariationalProblem, level: float,
                            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
             total_iters += res.nit
             f, g, u = controls(res.x)
-            xT, gf, gg, gu = _terminal_and_grad(problem, A, hom, f, g, u)
-            r = xT - level
-            energy = 0.5 * float(w @ (f * f) + w @ (g * g))
-            # least-squares KKT multiplier for the reported stationarity residual
-            ge = np.concatenate([w * f, w * g])
-            gr = np.concatenate([gf, gg])
-            denom = float(gr @ gr)
-            lam = -float(ge @ gr) / denom if denom > 0 else 0.0
-            kkt = float(np.linalg.norm(ge + lam * gr))
-            ok = res.status != 1 and kkt <= KKT_TOL * max(1.0, float(np.linalg.norm(ge)))
-            if abs(r) <= feas_tol and (best is None or energy < best[0] - 1e-14):
-                best = (energy, f, g, u, kkt, ok)
+            energy, r, kkt, kkt_ok = _check_run(problem, A, hom, f, g, u, level)
+            if r <= feas_tol and (best is None or energy < best[0] - 1e-14):
+                best = (energy, f, g, u, kkt, res.status != 1 and kkt_ok)
     if best is None:
-        zero = ControlVector(np.zeros(n), np.zeros(n))
-        y, x = path_from_controls(problem, zero, start=lo)
-        return RateResult(INFEASIBLE, zero, y, x, lo, False, total_iters, math.nan, level)
+        return _infeasible(problem, total_iters, level)
     energy, f, g, u, kkt, ok = best
     cv = ControlVector(f, g)
     y, x = path_from_controls(problem, cv, start=u)
@@ -336,8 +400,9 @@ def solve(problem: VariationalProblem) -> RateResult:
     Inequality senses first check zero-control feasibility (value 0);
     otherwise the constraint binds. Equality constraints, and inequality
     ones that bind, make one call of `_solve_equality` at `problem.level`:
-    multistart L-BFGS-B on the energy with g eliminated in closed form.
-    A "<=" problem is the ">=" problem for -x.
+    multistart L-BFGS-B on the energy with g eliminated in closed form, or,
+    for a homogeneous problem from the start 0, the memoised solve at level
+    +-1 scaled to the level. A "<=" problem is the ">=" problem for -x.
     """
     if problem.sense != "=":
         sgn = 1.0 if problem.sense == ">=" else -1.0
@@ -355,102 +420,6 @@ def solve(problem: VariationalProblem) -> RateResult:
     # from the zero-control value to beyond the level, so some lambda hits it
     # exactly, at lambda^2 times the energy.
     return _solve_equality(problem, problem.level)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle (tests only)
-# ---------------------------------------------------------------------------
-
-def _terminal_function(problem: VariationalProblem):
-    """(f, g, u) -> x at the constraint node, as `path_from_controls` gives
-    it, with the operator matrix and start factor set up once."""
-    A = operator_matrix(problem.kernel, problem.grid)
-    hom = problem.homogeneous_factor()
-    j = problem.node_index
-    return lambda f, g, u: _paths(problem, A, hom, f, g, u)[1][j]
-
-
-def brute_force_rate(problem: VariationalProblem, coarse_n: int = 6) -> float:
-    """Independent global search on a coarse grid; used as a test oracle.
-
-    Dense deterministic multistart (structured points plus a seeded random
-    lattice) over the stacked control space, refined by Powell on a
-    quadratic-penalty objective with two penalty rounds.
-    """
-    if coarse_n > 8:
-        raise DomainError("oracle restricted to coarse grids (n <= 8)")
-    grid = TimeGrid.uniform(coarse_n)
-    prob = VariationalProblem(
-        kernel=problem.kernel, vol=problem.vol, grid=grid, rho=problem.rho,
-        include_drift=problem.include_drift, start=problem.start,
-        level=problem.level, sense=problem.sense,
-    )
-    n = coarse_n
-    lo, hi = prob.start
-    free_start = hi > lo
-    dim = 2 * n + (1 if free_start else 0)
-    level = prob.level
-    w = grid.w
-    x_terminal = _terminal_function(prob)
-
-    def assemble(z):
-        f, g = z[:n], z[n : 2 * n]
-        u = min(max(z[2 * n], lo), hi) if free_start else lo
-        return f, g, u
-
-    def terminal(z):
-        return x_terminal(*assemble(z))
-
-    def energy(z):
-        f, g, _ = assemble(z)
-        # l2_energy's arithmetic, without its checks
-        return 0.5 * float(w @ (f * f) + w @ (g * g))
-
-    if prob.sense == ">=":
-        viol = lambda z: max(0.0, level - terminal(z))
-    elif prob.sense == "<=":
-        viol = lambda z: max(0.0, terminal(z) - level)
-    else:
-        viol = lambda z: abs(terminal(z) - level)
-
-    rng = np.random.default_rng(12345)
-    scale = abs(level) if level != 0 else 1.0
-    sgn = 1.0 if level >= 0 else -1.0
-    starts = [np.zeros(dim)]
-    for base in (sgn * scale, 2 * sgn * scale, -sgn * scale):
-        for ch in range(3):
-            z = np.zeros(dim)
-            if ch == 0:
-                z[n : 2 * n] = base
-            elif ch == 1:
-                z[:n] = base
-            else:
-                z[:2 * n] = 0.5 * base
-            starts.append(z)
-    for _ in range(8):
-        z = rng.uniform(-2.5 * scale, 2.5 * scale, dim)
-        starts.append(z)
-    if free_start:
-        for z in starts:
-            z[2 * n] = rng.uniform(lo, hi)
-
-    best = math.inf
-    for z0 in starts:
-        z = z0.copy()
-        for mu, xt, ft in ((50.0, 1e-6, 1e-9), (5e3, 1e-9, 1e-12)):
-            obj = lambda zz: energy(zz) + mu * viol(zz) ** 2
-            res = minimize(obj, z, method="Powell", options={"maxiter": 20000, "xtol": xt, "ftol": ft})
-            z = res.x
-        e = energy(z)
-        if e < best + 0.05:
-            # worth polishing against a stiffer penalty
-            for mu in (5e5, 5e7):
-                obj = lambda zz: energy(zz) + mu * viol(zz) ** 2
-                res = minimize(obj, z, method="Powell", options={"maxiter": 20000, "xtol": 1e-12, "ftol": 1e-14})
-                z = res.x
-            if viol(z) <= 1e-6:
-                best = min(best, energy(z))
-    return best
 
 
 # ---------------------------------------------------------------------------

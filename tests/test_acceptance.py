@@ -24,7 +24,6 @@ from fracldp import (
     SchemeKind,
     TimeGrid,
     VariationalProblem,
-    brute_force_rate,
     check_scaling_assumption,
     check_theta_assumption,
     constant_vol,
@@ -43,6 +42,7 @@ from fracldp import (
     uniform_law,
 )
 from fracldp.model import InitialLaw, LawKind
+from rate_oracle import brute_force_rate
 
 
 def report(capsys, num, ok, detail):

@@ -14,8 +14,8 @@ from fracldp import (
     ModelParams,
     TimeGrid,
     VariationalProblem,
+    VolFunction,
     affine_abs_vol,
-    brute_force_rate,
     constant_vol,
     l2_energy,
     linear_vol,
@@ -28,6 +28,7 @@ from fracldp import (
 )
 from fracldp import rates
 from fracldp.kernels import operator_matrix
+from rate_oracle import brute_force_rate, terminal_function
 
 H_HALF = HurstParams(0.5)
 
@@ -130,6 +131,9 @@ class TestSolve:
             kwargs["options"] = dict(kwargs.get("options") or {}, maxiter=1)
             return full(*args, **kwargs)
 
+        # the solve above memoised its unit-level run; an empty memo makes
+        # the cut-off run happen, and is dropped again after the test
+        monkeypatch.setattr(rates, "_unit_solves", {})
         monkeypatch.setattr(rates, "minimize", one_iteration)
         res = solve(p)
         assert math.isfinite(res.value)
@@ -284,6 +288,136 @@ class TestInequalityBinds:
         assert solve(p).value == vals[0]
 
 
+def unit_scale_problem(H=0.3, kernel="g_zero", beta=-1.0, vol="affine", c1=1.0,
+                       grid=None, rho=-0.4, drift=False, node=7, level=0.6):
+    """Equality problem from the start 0 that `_solve_equality` rescales."""
+    kernels = {"g_zero": KernelSpec(KernelKind.G_ZERO, HurstParams(H), xi=1.0),
+               "f_fou": KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta, xi=1.0)}
+    vols = {"affine": affine_abs_vol(0.1, c1, b=0.5), "linear": linear_vol()}
+    return VariationalProblem(
+        kernel=kernels[kernel], vol=vols[vol], grid=grid or TimeGrid.uniform(12),
+        rho=rho, include_drift=drift, level=level, sense="=", constraint_node=node)
+
+
+def graded_grid(n, q):
+    t = (np.arange(1, n + 1) / n) ** q
+    return TimeGrid(tuple(t), tuple(np.diff(np.concatenate([[0.0], t]))))
+
+
+class TestUnitScale:
+    """From the start 0 with a degree-1 homogeneous sigma_tilde, a problem at
+    level l is the memoised one at sign(l) with controls scaled by sqrt|l|."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(H=st.floats(0.1, 0.9), rho=st.floats(-0.9, 0.9), c1=st.floats(0.2, 2.0),
+           vol=st.sampled_from(["affine", "linear"]), drift=st.booleans(),
+           kernel=st.sampled_from(["g_zero", "f_fou"]), node=st.integers(2, 9),
+           magnitude=st.floats(0.05, 20.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_rescaling_equals_a_direct_solve(self, H, rho, c1, vol, drift, kernel,
+                                             node, magnitude, sign):
+        p = unit_scale_problem(H=H, kernel=kernel, vol=vol, c1=c1, rho=rho, drift=drift,
+                               node=node, level=sign * magnitude)
+        scaled = solve(p)
+        direct = rates._multistart(p, p.level, 1e-6)
+        assert scaled.converged and direct.converged
+        assert scaled.value == pytest.approx(direct.value, rel=1e-9)
+        assert scaled.x_path[node] == pytest.approx(p.level, abs=1e-6)
+        assert scaled.level_used == p.level and scaled.start_used == 0.0
+
+    @pytest.mark.parametrize("field,variant", [
+        ("H", dict(H=0.4)),
+        ("beta", dict(beta=-2.0)),
+        ("c1", dict(c1=0.5)),
+        ("vol kind", dict(c1=1.0, vol="linear")),
+        ("grid", dict(grid=graded_grid(12, 1.5))),
+        ("rho", dict(rho=0.3)),
+        ("drift", dict(drift=True)),
+        ("node", dict(node=9)),
+    ])
+    def test_problems_differing_in_one_key_field(self, field, variant, monkeypatch):
+        base = dict(kernel="f_fou", c1=1.0)
+        monkeypatch.setattr(rates, "_unit_solves", {})
+        for p in (unit_scale_problem(**base), unit_scale_problem(**{**base, **variant})):
+            res = solve(p)
+            direct = rates._multistart(p, p.level, 1e-6)
+            assert res.value == pytest.approx(direct.value, rel=1e-9), field
+            assert res.converged
+
+    def test_results_do_not_alias_the_memo(self):
+        p = unit_scale_problem()
+        first = solve(p)
+        value, f, g = first.value, first.controls.f.copy(), first.controls.g.copy()
+        first.controls.f *= 3.0
+        first.controls.g[:] = 0.0
+        again = solve(p)
+        assert again.value == value
+        assert np.array_equal(again.controls.f, f) and np.array_equal(again.controls.g, g)
+
+    def test_shuffled_smalltime_sweep_equals_sorted(self, monkeypatch):
+        params = ModelParams(rho=-0.5, hurst=HurstParams(0.3), vol=affine_abs_vol(0.1, 1.0, b=0.5))
+        grid = TimeGrid.uniform(16)
+        ks = sorted(s * 0.1 * i for i in range(1, 6) for s in (1, -1))
+        shuffled = list(ks)
+        np.random.default_rng(5).shuffle(shuffled)
+        sweeps = []
+        for order in (ks, shuffled):
+            monkeypatch.setattr(rates, "_unit_solves", {})
+            sweeps.append({k: smalltime_rate(params, k, 0.5, grid=grid).value for k in order})
+        assert sweeps[0] == sweeps[1]
+
+    def test_one_multistart_per_sign(self, monkeypatch):
+        params = ModelParams(rho=-0.5, hurst=HurstParams(0.3), vol=affine_abs_vol(0.1, 1.0, b=0.5))
+        levels = []
+        inner = rates._multistart
+
+        def counted(problem, level, *args):
+            levels.append(level)
+            return inner(problem, level, *args)
+
+        monkeypatch.setattr(rates, "_unit_solves", {})
+        monkeypatch.setattr(rates, "_multistart", counted)
+        results = [smalltime_rate(params, k, 0.5, grid=TimeGrid.uniform(16))
+                   for k in (0.1, -0.2, 0.3, -0.1, 0.2)]
+        assert levels == [1.0, -1.0]
+        assert [r.iterations > 0 for r in results] == [True, True, False, False, False]
+
+    @pytest.mark.parametrize("case", ["constant", "tabulated", "free_start", "nonzero_start",
+                                      "zero_level"])
+    def test_other_problems_take_the_direct_path(self, case, monkeypatch):
+        tabulated = VolFunction(kind="Tabulated", sigma_fn=np.abs, sigma_tilde_fn=np.abs)
+        p = {
+            "constant": unit_scale_problem(),
+            "tabulated": unit_scale_problem(),
+            "free_start": unit_scale_problem(),
+            "nonzero_start": unit_scale_problem(),
+            "zero_level": unit_scale_problem(level=0.0),
+        }[case]
+        if case == "constant":
+            p.vol = constant_vol(0.7)
+        if case == "tabulated":
+            p.vol = tabulated
+        if case == "free_start":
+            p.start = (0.0, 0.3)
+        if case == "nonzero_start":
+            p.start = (0.2, 0.2)
+        monkeypatch.setattr(rates, "_unit_solves", {})
+        res = solve(p)
+        assert rates._unit_solves == {}
+        assert res.value == rates._multistart(p, p.level, 1e-6).value
+
+    def test_vanishing_vol_is_infeasible(self):
+        res = solve(unit_scale_problem(c1=0.0, level=-2.5))
+        assert res.value == INFEASIBLE and not res.converged
+        assert res.level_used == -2.5
+
+    def test_tilde_homogeneous_kinds(self):
+        tabulated = VolFunction(kind="Tabulated", sigma_fn=np.abs, sigma_tilde_fn=np.abs)
+        assert linear_vol().tilde_homogeneous
+        assert affine_abs_vol(0.1, 2.0).tilde_homogeneous
+        assert not constant_vol(1.0).tilde_homogeneous
+        assert not tabulated.tilde_homogeneous
+
+
 @pytest.mark.slow
 class TestBruteForceOracle:
     def test_schilder_coarse(self):
@@ -310,7 +444,7 @@ class TestOracleTerminal:
     @pytest.mark.parametrize("free_start,drift", REDUCED_CASES)
     def test_matches_path_from_controls_bitwise(self, free_start, drift):
         p = reduced_case(free_start, drift, node=9)
-        x_terminal = rates._terminal_function(p)
+        x_terminal = terminal_function(p)
         rng = np.random.default_rng(33)
         n = p.grid.n
         for _ in range(50):
