@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -299,6 +300,10 @@ def unit_scale_problem(H=0.3, kernel="g_zero", beta=-1.0, vol="affine", c1=1.0,
         rho=rho, include_drift=drift, level=level, sense="=", constraint_node=node)
 
 
+# sigma_tilde = |y| given as callables, so its degree is not known to the solver
+TABULATED_ABS = VolFunction(kind="Tabulated", sigma_fn=np.abs, sigma_tilde_fn=np.abs)
+
+
 def graded_grid(n, q):
     t = (np.arange(1, n + 1) / n) ** q
     return TimeGrid(tuple(t), tuple(np.diff(np.concatenate([[0.0], t]))))
@@ -381,25 +386,15 @@ class TestUnitScale:
         assert levels == [1.0, -1.0]
         assert [r.iterations > 0 for r in results] == [True, True, False, False, False]
 
-    @pytest.mark.parametrize("case", ["constant", "tabulated", "free_start", "nonzero_start",
-                                      "zero_level"])
-    def test_other_problems_take_the_direct_path(self, case, monkeypatch):
-        tabulated = VolFunction(kind="Tabulated", sigma_fn=np.abs, sigma_tilde_fn=np.abs)
-        p = {
-            "constant": unit_scale_problem(),
-            "tabulated": unit_scale_problem(),
-            "free_start": unit_scale_problem(),
-            "nonzero_start": unit_scale_problem(),
-            "zero_level": unit_scale_problem(level=0.0),
-        }[case]
-        if case == "constant":
-            p.vol = constant_vol(0.7)
-        if case == "tabulated":
-            p.vol = tabulated
-        if case == "free_start":
-            p.start = (0.0, 0.3)
-        if case == "nonzero_start":
-            p.start = (0.2, 0.2)
+    @pytest.mark.parametrize("change", [
+        dict(vol=constant_vol(0.7)),
+        dict(vol=TABULATED_ABS),
+        dict(start=(0.0, 0.3)),
+        dict(start=(0.2, 0.2)),
+        dict(level=0.0),
+    ], ids=["constant", "tabulated", "free_start", "nonzero_start", "zero_level"])
+    def test_other_problems_take_the_direct_path(self, change, monkeypatch):
+        p = dataclasses.replace(unit_scale_problem(), **change)
         monkeypatch.setattr(rates, "_unit_solves", {})
         res = solve(p)
         assert rates._unit_solves == {}
@@ -411,11 +406,10 @@ class TestUnitScale:
         assert res.level_used == -2.5
 
     def test_tilde_homogeneous_kinds(self):
-        tabulated = VolFunction(kind="Tabulated", sigma_fn=np.abs, sigma_tilde_fn=np.abs)
         assert linear_vol().tilde_homogeneous
         assert affine_abs_vol(0.1, 2.0).tilde_homogeneous
         assert not constant_vol(1.0).tilde_homogeneous
-        assert not tabulated.tilde_homogeneous
+        assert not TABULATED_ABS.tilde_homogeneous
 
 
 @pytest.mark.slow
