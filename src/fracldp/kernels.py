@@ -5,29 +5,29 @@ f -> int_0^t Phi(t,s) f(s) ds on a discrete time grid, Cameron-Martin
 energies and Gram (covariance) matrices.
 
 Closed forms are used wherever they exist:
-  - every kernel at H = 1/2 is xi e^{beta (t-s)};
+  - every kernel at H = 1/2 is xi e^{beta (t-s)}, whose operator_matrix
+    panels integrate in closed form;
   - with zero effective mean reversion (K_fbm, G_zero, G_eps at eps = 0,
     F_fou at beta = 0) the kernel is xi times the Molchan-Golosov kernel
     kappa_H (t-s)^{H-1/2} 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s)
     (Decreusefond & Ustunel 1999), and its Gram matrix is xi^2 times the
-    fBm covariance;
-  - at H != 1/2 the diagonal panel of each operator_matrix row, where the
-    kernel has its (t-s)^{H-1/2} singularity, is an incomplete beta function
-    in s left under one tanh-sinh integral.
+    fBm covariance.
 Pointwise, the kernel with beta != 0 is a tanh-sinh integral over (s, t)
-whose endpoint power singularity is removed by substitution. operator_matrix
-does not evaluate it pointwise: each s-node's integral is carried from row
-to row, with tanh-sinh only over (s, t_{j+1}) and Gauss-Legendre on the
-later u-panels. The closed-form kernels use tanh-sinh on panel 0 (s -> 0)
-and a 16-point Gauss-Legendre rule on the smooth interior panels. The
-beta != 0 Gram matrix is a tanh-sinh quadrature of pointwise kernel values.
+whose endpoint power singularity is removed by substitution. At H != 1/2,
+operator_matrix uses that Volterra form for every beta, 0 included, and
+never evaluates the kernel pointwise: the diagonal panel of each row is an
+incomplete beta function in s left under one tanh-sinh integral, and below
+the diagonal each s-node's inner integral is carried from row to row, with
+tanh-sinh only over (s, t_{j+1}) and Gauss-Legendre on the later u-panels.
+The beta != 0 Gram matrix is a tanh-sinh quadrature of pointwise kernel
+values.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -383,7 +383,8 @@ def _near_origin(edges: np.ndarray) -> np.ndarray:
 
 
 def _accumulated_operator_matrix(H: float, beta: float, xi: float, edges: np.ndarray) -> np.ndarray:
-    """Off-diagonal entries of the beta != 0, H != 1/2 operator matrix.
+    """Entries below the diagonal of the H != 1/2 operator matrix, for any
+    beta (at beta = 0 the Volterra form is the Molchan-Golosov kernel).
 
     Each panel j < n-1 carries one set of s-nodes that serves every later
     row: tanh-sinh nodes where the s^{-hm} singularity at 0 lies within half
@@ -394,6 +395,7 @@ def _accumulated_operator_matrix(H: float, beta: float, xi: float, edges: np.nda
     integrates over (s, t_{j+1}); each later row steps
     J <- e^{beta dt_i} J + (Gauss-Legendre over (t_{i-1}, t_i)). Those
     u-panels lie at least one panel width from s, where (u-s)^gam is smooth.
+    O(n^2) work per s-node set; the diagonal is left at 0.
     """
     n = edges.size - 1
     t = edges[1:]
@@ -429,58 +431,29 @@ def operator_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Matrix A with A[i, j] = int over panel j of Phi(t_i, s) ds (j <= i).
 
     apply_operator is then A @ f for panelwise-constant controls f.
-    - H != 1/2: the diagonal panels come from _diagonal_panels (incomplete
-      beta in s, tanh-sinh in u; no clipping).
-    - beta_eff != 0, H != 1/2: the off-diagonal entries come from
-      _accumulated_operator_matrix, O(n^2) work per s-node set.
-    - Otherwise (closed-form kernel) row i integrates the panels near
-      s = 0 (_near_origin: the s^{-(H-1/2)} factor) with the tanh-sinh rule
-      and the other panels below i with a 16-point Gauss-Legendre rule, all
-      nodes of a row in one eval_kernel_batch call; at H = 1/2 the diagonal
-      panel i is a tanh-sinh panel of that call as well.
+    - H != 1/2, any beta_eff (0 included): _accumulated_operator_matrix
+      below the diagonal and _diagonal_panels on it.
+    - H = 1/2 and Identity: Phi = xi e^{beta (t-s)}, so each panel
+      integrates in closed form, A[i, j] = xi e^{beta (t_i - t_j)}
+      expm1(beta dt_j) / beta, or xi dt_j at beta = 0. The exponent is
+      formed on the lower triangle only, so the masked entries cannot
+      overflow.
     """
     key = _cache_key("op", spec, grid)
     if key in _matrix_cache:
         return _matrix_cache[key]
     t = grid.t
-    n = grid.n
     edges = np.concatenate([[0.0], t])
-    A = np.zeros((n, n))
-    if spec.kind is KernelKind.IDENTITY:
-        for i in range(n):
-            A[i, : i + 1] = np.diff(edges[: i + 2])
-        _matrix_cache[key] = A
-        return A
     H = spec.hurst.H
     beta = spec.effective_beta
     xi = spec.effective_xi
-    if H != 0.5 and beta != 0.0:
-        A = _accumulated_operator_matrix(H, beta, xi, edges)
+    if H == 0.5 or spec.kind is KernelKind.IDENTITY:
+        dt = np.diff(edges)
+        panel = np.expm1(beta * dt) / beta if beta != 0.0 else dt
+        A = np.tril(xi * np.exp(beta * np.tril(t[:, None] - t[None, :])) * panel)
     else:
-        q, _, jac = _tanh_sinh_rule(0.06, 64)
-        x, wx = _gauss_legendre_rule(16)
-        near = _near_origin(edges)
-        for i in range(n):
-            ti = t[i]
-            lo = edges[: i + 1]
-            span = edges[1 : i + 2] - lo
-            # the panels near s = 0 and, at H = 1/2, the diagonal panel i
-            # (s -> ti) take the tanh-sinh rule; the panels between are smooth
-            sing = np.flatnonzero(near[:i]).tolist() + ([i] if H == 0.5 else [])
-            if not sing:
-                continue
-            mid = np.flatnonzero(~near[:i])
-            s_sing = lo[sing, None] + span[sing, None] * q[None, :]
-            # keep strictly inside (0, ti)
-            s_sing = np.clip(s_sing, 1e-300, ti * (1.0 - 1e-15))
-            s_mid = lo[mid, None] + span[mid, None] * x[None, :]
-            vals = eval_kernel_batch(spec, ti, np.concatenate([s_sing.ravel(), s_mid.ravel()]))
-            v_sing = vals[: s_sing.size].reshape(s_sing.shape)
-            v_mid = vals[s_sing.size :].reshape(s_mid.shape)
-            A[i, sing] = np.sum(span[sing, None] * jac[None, :] * v_sing, axis=1)
-            A[i, mid] = np.sum(span[mid, None] * wx[None, :] * v_mid, axis=1)
-    if H != 0.5:
-        A[np.diag_indices(n)] = _diagonal_panels(H, beta, xi, edges)
+        A = _accumulated_operator_matrix(H, beta, xi, edges)
+        A[np.diag_indices(grid.n)] = _diagonal_panels(H, beta, xi, edges)
     _matrix_cache[key] = A
     return A
 

@@ -35,6 +35,7 @@ from .model import ModelParams, VolFunction
 
 INFEASIBLE = math.inf
 KKT_TOL = 1e-6   # converged: KKT residual <= KKT_TOL * max(1, |energy gradient|)
+FEAS_TOL = 1e-6  # feasible: |x_terminal - level| <= FEAS_TOL
 
 
 @dataclass
@@ -271,16 +272,19 @@ def _check_run(problem, A, hom, f, g, u, level):
     return energy, abs(xT - level), kkt, kkt <= KKT_TOL * max(1.0, float(np.linalg.norm(ge)))
 
 
-def _infeasible(problem, iterations, level) -> RateResult:
+def _zero_result(problem, start, value, converged, iterations, kkt, level) -> RateResult:
+    """RateResult of the zero controls from `start`."""
     n = problem.grid.n
     zero = ControlVector(np.zeros(n), np.zeros(n))
-    lo = problem.start[0]
-    y, x = path_from_controls(problem, zero, start=lo)
-    return RateResult(INFEASIBLE, zero, y, x, lo, False, iterations, math.nan, level)
+    y, x = path_from_controls(problem, zero, start=start)
+    return RateResult(value, zero, y, x, start, converged, iterations, kkt, level)
 
 
-def _solve_equality(problem: VariationalProblem, level: float,
-                    feas_tol: float = 1e-6) -> RateResult:
+def _infeasible(problem, iterations, level) -> RateResult:
+    return _zero_result(problem, problem.start[0], INFEASIBLE, False, iterations, math.nan, level)
+
+
+def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
     """Minimise the control energy subject to x_terminal = level.
 
     A problem from the fixed start 0 at level l != 0 whose sigma_tilde is
@@ -299,14 +303,14 @@ def _solve_equality(problem: VariationalProblem, level: float,
     vol = problem.vol
     lo, hi = problem.start
     if lo != 0.0 or hi != 0.0 or level == 0.0 or not vol.tilde_homogeneous:
-        return _multistart(problem, level, feas_tol)
+        return _multistart(problem, level)
     sign = math.copysign(1.0, level)
     key = (problem.kernel, vol.kind, vol.c1, problem.grid, problem.rho,
            problem.include_drift, problem.node_index, sign)
     unit = _unit_solves.get(key)
     iterations = 0
     if unit is None:
-        unit = _unit_solves[key] = _multistart(problem, sign, feas_tol)
+        unit = _unit_solves[key] = _multistart(problem, sign)
         iterations = unit.iterations
     if unit.value == INFEASIBLE:
         return _infeasible(problem, iterations, level)
@@ -315,14 +319,14 @@ def _solve_equality(problem: VariationalProblem, level: float,
     A = operator_matrix(problem.kernel, problem.grid)
     hom = problem.homogeneous_factor()
     energy, r, kkt, kkt_ok = _check_run(problem, A, hom, f, g, 0.0, level)
-    if r > feas_tol:
+    if r > FEAS_TOL:
         return _infeasible(problem, iterations, level)
     cv = ControlVector(f, g)
     y, x = path_from_controls(problem, cv, start=0.0)
     return RateResult(energy, cv, y, x, 0.0, unit.converged and kkt_ok, iterations, kkt, level)
 
 
-def _multistart(problem: VariationalProblem, level: float, feas_tol: float) -> RateResult:
+def _multistart(problem: VariationalProblem, level: float) -> RateResult:
     """`_solve_equality` at `level` without rescaling.
 
     Multistart L-BFGS-B on the reduced objective of `_reduced_objective`
@@ -345,7 +349,7 @@ def _multistart(problem: VariationalProblem, level: float, feas_tol: float) -> R
     # infeasibility screen: if the vol function vanishes identically on the
     # reachable paths, the constraint gradient is zero everywhere
     probe = np.max(np.abs(problem.vol.sigma_tilde(np.linspace(-10, 10, 41))))
-    if probe == 0.0 and abs(level) > feas_tol:
+    if probe == 0.0 and abs(level) > FEAS_TOL:
         return _infeasible(problem, 0, level)
 
     J, controls = _reduced_objective(problem, level, A, hom)
@@ -369,7 +373,7 @@ def _multistart(problem: VariationalProblem, level: float, feas_tol: float) -> R
             total_iters += res.nit
             f, g, u = controls(res.x)
             energy, r, kkt, kkt_ok = _check_run(problem, A, hom, f, g, u, level)
-            if r <= feas_tol and (best is None or energy < best[0] - 1e-14):
+            if r <= FEAS_TOL and (best is None or energy < best[0] - 1e-14):
                 best = (energy, f, g, u, kkt, res.status != 1 and kkt_ok)
     if best is None:
         return _infeasible(problem, total_iters, level)
@@ -379,19 +383,16 @@ def _multistart(problem: VariationalProblem, level: float, feas_tol: float) -> R
     return RateResult(energy, cv, y, x, u, ok, total_iters, kkt, level)
 
 
-def _unconstrained_terminal(problem: VariationalProblem) -> list:
-    """Terminal x values of the zero-control path (which costs no energy):
-    one at a fixed start, else one at each of 9 evenly spaced starts across
-    the start interval. Nothing is minimised here; `solve` takes the extreme
-    on the constraint side."""
+def _unconstrained_terminal(problem: VariationalProblem):
+    """Starts and terminal x values of the zero-control path (which costs no
+    energy): the fixed start, else 9 evenly spaced starts across the start
+    interval. Nothing is minimised here; `solve` takes the extreme on the
+    constraint side."""
     lo, hi = problem.start
-    us = [lo] if hi <= lo else list(np.linspace(lo, hi, 9))
+    us = np.array([lo]) if hi <= lo else np.linspace(lo, hi, 9)
     zero = ControlVector(np.zeros(problem.grid.n), np.zeros(problem.grid.n))
-    vals = []
-    for u in us:
-        _, x = path_from_controls(problem, zero, start=u)
-        vals.append(x[problem.node_index])
-    return vals
+    vals = [path_from_controls(problem, zero, start=u)[1][problem.node_index] for u in us]
+    return us, np.asarray(vals)
 
 
 def solve(problem: VariationalProblem) -> RateResult:
@@ -406,15 +407,11 @@ def solve(problem: VariationalProblem) -> RateResult:
     """
     if problem.sense != "=":
         sgn = 1.0 if problem.sense == ">=" else -1.0
-        x0_vals = sgn * np.asarray(_unconstrained_terminal(problem))
-        if max(x0_vals) >= sgn * problem.level:
-            n = problem.grid.n
-            zero = ControlVector(np.zeros(n), np.zeros(n))
-            u = problem.start[0] if len(x0_vals) == 1 else float(
-                np.linspace(problem.start[0], problem.start[1], 9)[int(np.argmax(x0_vals))]
-            )
-            y, x = path_from_controls(problem, zero, start=u)
-            return RateResult(0.0, zero, y, x, u, True, 0, 0.0, problem.level)
+        us, x0_vals = _unconstrained_terminal(problem)
+        x0_vals = sgn * x0_vals
+        best = int(np.argmax(x0_vals))
+        if x0_vals[best] >= sgn * problem.level:
+            return _zero_result(problem, float(us[best]), 0.0, True, 0, 0.0, problem.level)
     # An inequality the zero control misses binds: scaling a control (f, g)
     # that reaches beyond the level by lambda in (0, 1] moves x_T continuously
     # from the zero-control value to beyond the level, so some lambda hits it
@@ -450,7 +447,8 @@ def _smalltime_solve(params: ModelParams, k_level: float, start: Tuple[float, fl
                      grid: Optional[TimeGrid]) -> RateResult:
     """Small-time problem at log-strike k from `start`: the pointwise kernel
     limit, no drift, sense >= k for k > 0 and <= k for k < 0. At k = 0 the
-    zero controls are optimal and the rate is 0 from the lower start."""
+    zero controls meet the constraint, so `solve` returns rate 0 from the
+    lower start."""
     grid = grid or TimeGrid.uniform(48)
     kernel = KernelSpec(KernelKind.G_ZERO, params.hurst, xi=params.xi if params.xi > 0 else 1.0)
     prob = VariationalProblem(
@@ -458,11 +456,6 @@ def _smalltime_solve(params: ModelParams, k_level: float, start: Tuple[float, fl
         include_drift=False, start=start, level=k_level,
         sense=">=" if k_level > 0 else "<=",
     )
-    if k_level == 0.0:
-        n = grid.n
-        zero = ControlVector(np.zeros(n), np.zeros(n))
-        y, x = path_from_controls(prob, zero)
-        return RateResult(0.0, zero, y, x, start[0], True, 0, 0.0, 0.0)
     return solve(prob)
 
 

@@ -182,17 +182,25 @@ OP_ORACLE = {
 }
 
 # The same construction on the grids of TestAccumulatedOperatorMatrix:
-# F_fou at beta = -1 keyed (H, n, i, j), and diagonal entries of the graded
-# grids t_k = (k/32)^q keyed (q, H, beta, i).
+# F_fou at beta = -1 and K_fbm (beta = 0) keyed (beta, H, n, i, j), and
+# diagonal entries of the graded grids t_k = (k/32)^q keyed (q, H, beta, i).
 SMALL_GRID_ORACLE = {
-    (0.1, 1, 0, 0): 0.44179931602891364403,
-    (0.1, 2, 0, 0): 0.38460549553168224671,
-    (0.1, 2, 1, 0): 0.12938347623244853933,
-    (0.1, 2, 1, 1): 0.31241583979646510611,
-    (0.7, 1, 0, 0): 0.64118916500440260033,
-    (0.7, 2, 0, 0): 0.34053023712228368015,
-    (0.7, 2, 1, 0): 0.31832945742219907771,
-    (0.7, 2, 1, 1): 0.32285970758220352262,
+    (-1.0, 0.1, 1, 0, 0): 0.44179931602891364403,
+    (-1.0, 0.1, 2, 0, 0): 0.38460549553168224671,
+    (-1.0, 0.1, 2, 1, 0): 0.12938347623244853933,
+    (-1.0, 0.1, 2, 1, 1): 0.31241583979646510611,
+    (-1.0, 0.7, 1, 0, 0): 0.64118916500440260033,
+    (-1.0, 0.7, 2, 0, 0): 0.34053023712228368015,
+    (-1.0, 0.7, 2, 1, 0): 0.31832945742219907771,
+    (-1.0, 0.7, 2, 1, 1): 0.32285970758220352262,
+    (0.0, 0.1, 1, 0, 0): 0.78768750249430196792,
+    (0.0, 0.1, 2, 0, 0): 0.51967994537908766273,
+    (0.0, 0.1, 2, 1, 0): 0.36821866167669723011,
+    (0.0, 0.1, 2, 1, 1): 0.41946884081760473837,
+    (0.0, 0.7, 1, 0, 0): 0.97258296612281297487,
+    (0.0, 0.7, 2, 0, 0): 0.423341324505215028,
+    (0.0, 0.7, 2, 1, 0): 0.57150078194570937947,
+    (0.0, 0.7, 2, 1, 1): 0.40108218417710359541,
 }
 GRADED_DIAG_ORACLE = {
     (2, 0.1, -20.0, 1): 0.019561844456560108226,
@@ -394,14 +402,24 @@ class TestOperatorsAndEnergy:
         out = apply_operator(spec, np.ones(32), g)
         assert np.allclose(out, g.t, atol=1e-12)
 
-    def test_f_operator_h_half(self):
-        # int_0^t e^{beta(t-s)} ds = (1 - e^{beta t}) / (-beta) for f == 1
-        beta = -1.5
+    # beta = -800 would overflow e^{beta (t_i - t_j)} above the diagonal
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [-1.5, -1e-9, 5.0, -800.0])
+    @pytest.mark.parametrize("kind, H", [
+        (KernelKind.F_FOU, 0.5),
+        (KernelKind.G_ZERO, 0.5),
+        (KernelKind.K_FBM, 0.5),
+        (KernelKind.IDENTITY, 0.3),
+    ])
+    def test_f_operator_h_half(self, kind, H, beta):
+        # these kernels are xi e^{b (t-s)} with b = beta_eff, so for f == 1
+        # each row sums to xi int_0^t e^{b(t-s)} ds = xi expm1(b t) / b
         g = TimeGrid.uniform(400)
-        spec = KernelSpec(KernelKind.F_FOU, HurstParams(0.5), beta=beta, xi=1.0)
+        spec = KernelSpec(kind, HurstParams(H), beta=beta, xi=1.3)
+        b, xi = spec.effective_beta, spec.effective_xi
         out = apply_operator(spec, np.ones(400), g)
-        ref = (1.0 - np.exp(beta * g.t)) / (-beta)
-        assert np.max(np.abs(out - ref)) <= 2e-3  # midpoint-rule accuracy
+        ref = xi * (np.expm1(b * g.t) / b if b != 0.0 else g.t)
+        assert np.all(np.abs(out - ref) <= 1e-14 * np.abs(ref))
 
     def test_operator_matrix_shape(self):
         g = TimeGrid.uniform(8)
@@ -438,7 +456,10 @@ def _regular_entries(n):
 
 class TestOperatorMatrixPanelRule:
     """operator_matrix against the all-tanh-sinh reference on its regular
-    entries, and against mpmath on the singular ones. Interior panels with
+    entries, and against mpmath on the singular ones. At every beta the
+    reference integrates pointwise kernel values, while operator_matrix
+    carries the Volterra form from row to row, so at beta_eff = 0 (closed-form
+    Molchan-Golosov kernel) the two are independent routes as well. Interior panels with
     fewer Gauss-Legendre points miss the reference bound: 7e-11 relative with
     6 points and 5e-14 with 8 (K_fbm, H = 0.1, n = 16); 10 or more points give
     at most 6e-16. The reference clips its nodes at s <= t(1 - 1e-15) and
@@ -489,7 +510,7 @@ class TestOperatorMatrixPanelRule:
 
 
 class TestAccumulatedOperatorMatrix:
-    """Edge cases of the beta != 0 build, which carries each s-node's inner
+    """Edge cases of the H != 1/2 build, which carries each s-node's inner
     integral from row to row: grids of one and two panels, graded grids
     (panels of width ~n^{-q} next to s = 0), and rates beta = -20 and +1
     whose factors e^{beta dt} neither overflow nor underflow."""
@@ -497,11 +518,17 @@ class TestAccumulatedOperatorMatrix:
     @pytest.mark.parametrize("H", [0.1, 0.7])
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_and_two_panels(self, H, n):
-        A = operator_matrix(KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=-1.0), TimeGrid.uniform(n))
-        assert A.shape == (n, n)
-        for (h, m, i, j), value in SMALL_GRID_ORACLE.items():
-            if (h, m) == (H, n):
-                assert abs(A[i, j] - value) <= 1e-14 * value, (i, j)
+        # F_fou at beta = 0 is K_fbm
+        for beta in (-1.0, 0.0):
+            spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta)
+            A = operator_matrix(spec, TimeGrid.uniform(n))
+            assert A.shape == (n, n)
+            checked = 0
+            for (b, h, m, i, j), value in SMALL_GRID_ORACLE.items():
+                if (b, h, m) == (beta, H, n):
+                    assert abs(A[i, j] - value) <= 1e-14 * value, (beta, i, j)
+                    checked += 1
+            assert checked == n * (n + 1) // 2
 
     @pytest.mark.parametrize("beta", [-20.0, 1.0])
     @pytest.mark.parametrize("H", [0.1, 0.3])

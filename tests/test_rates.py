@@ -263,14 +263,14 @@ class TestInequalityBinds:
                                       "free_start_forward"])
     def test_one_equality_solve_at_the_level(self, case, monkeypatch):
         p = binding_cases()[case]
-        x0 = np.asarray(rates._unconstrained_terminal(p))
+        _, x0 = rates._unconstrained_terminal(p)
         assert np.all(x0 < p.level) if p.sense == ">=" else np.all(x0 > p.level)
         levels = []
         inner = rates._solve_equality
 
-        def counted(problem, level, *args, **kwargs):
+        def counted(problem, level):
             levels.append(level)
-            return inner(problem, level, *args, **kwargs)
+            return inner(problem, level)
 
         monkeypatch.setattr(rates, "_solve_equality", counted)
         res = solve(p)
@@ -323,7 +323,7 @@ class TestUnitScale:
         p = unit_scale_problem(H=H, kernel=kernel, vol=vol, c1=c1, rho=rho, drift=drift,
                                node=node, level=sign * magnitude)
         scaled = solve(p)
-        direct = rates._multistart(p, p.level, 1e-6)
+        direct = rates._multistart(p, p.level)
         assert scaled.converged and direct.converged
         assert scaled.value == pytest.approx(direct.value, rel=1e-9)
         assert scaled.x_path[node] == pytest.approx(p.level, abs=1e-6)
@@ -344,7 +344,7 @@ class TestUnitScale:
         monkeypatch.setattr(rates, "_unit_solves", {})
         for p in (unit_scale_problem(**base), unit_scale_problem(**{**base, **variant})):
             res = solve(p)
-            direct = rates._multistart(p, p.level, 1e-6)
+            direct = rates._multistart(p, p.level)
             assert res.value == pytest.approx(direct.value, rel=1e-9), field
             assert res.converged
 
@@ -375,9 +375,9 @@ class TestUnitScale:
         levels = []
         inner = rates._multistart
 
-        def counted(problem, level, *args):
+        def counted(problem, level):
             levels.append(level)
-            return inner(problem, level, *args)
+            return inner(problem, level)
 
         monkeypatch.setattr(rates, "_unit_solves", {})
         monkeypatch.setattr(rates, "_multistart", counted)
@@ -398,7 +398,7 @@ class TestUnitScale:
         monkeypatch.setattr(rates, "_unit_solves", {})
         res = solve(p)
         assert rates._unit_solves == {}
-        assert res.value == rates._multistart(p, p.level, 1e-6).value
+        assert res.value == rates._multistart(p, p.level).value
 
     def test_vanishing_vol_is_infeasible(self):
         res = solve(unit_scale_problem(c1=0.0, level=-2.5))
@@ -533,10 +533,16 @@ class TestConvenienceRates:
         assert vals[0] <= vals[1] + 1e-9 <= vals[2] + 2e-9
 
     def test_smalltime_zero_level(self):
+        # the zero controls meet k = 0 from every start, fixed or free; the
+        # lower end of a free start is used
         params = ModelParams(vol=linear_vol())
-        res = smalltime_rate(params, 0.0, 1.0)
-        assert res.value == 0.0
-        assert res.converged
+        for res, lo in ((smalltime_rate(params, 0.0, 1.0), 0.0),
+                        (rate_with_random_start(params, 0.0, (0.1, 0.4)), 0.1)):
+            assert res.start_used == lo
+            assert res.value == 0.0
+            assert res.converged
+            assert res.iterations == 0
+            assert not np.any(res.controls.f) and not np.any(res.controls.g)
 
     def test_random_start_degenerate_interval(self):
         params = ModelParams(lam=0.0, beta=-1.0, xi=1.0, rho=0.0, vol=linear_vol())
