@@ -130,16 +130,6 @@ class VolFunction:
         path by path on the same draws, which `tail_ladder` uses."""
         return self.kind is not VolKind.CONSTANT
 
-    @property
-    def tilde_homogeneous(self) -> bool:
-        """Whether sigma_tilde is positively homogeneous of degree 1:
-        sigma_tilde(lam y) = lam sigma_tilde(y) for every lam > 0 and y. It
-        holds for Linear (y) and AffineAbs (c1 |y|), not for Constant (degree
-        0), and is not known for Tabulated. Where it holds, a rate problem
-        from the fixed start 0 at level l is the one at sign(l) scaled by
-        sqrt|l| in its controls, which `rates._solve_equality` uses."""
-        return self.kind in (VolKind.LINEAR, VolKind.AFFINE_ABS)
-
 
 def linear_vol(b: float = 1.0) -> VolFunction:
     return VolFunction(kind=VolKind.LINEAR, b=b)

@@ -10,9 +10,9 @@ For fixed f (and start) the constraint is linear in g, so the cheapest g is
 explicit; `solve` minimises the resulting reduced energy over f (and the
 start) alone, by multistart L-BFGS-B. An inequality constraint that the
 zero control misses binds, so it is solved as the equality at its level.
-From the start 0 with a degree-1 homogeneous sigma_tilde, the rate at level
-l is |l| times the rate at sign(l), so such problems share one memoised
-solve per sign.
+From the start 0 with a Linear or AffineAbs vol, x_terminal is a quadratic
+form in the controls, so the equality problem is an extreme eigenvalue
+problem and is solved as one.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import minimize
 
 from .kernels import (
@@ -31,7 +32,7 @@ from .kernels import (
     TimeGrid,
     operator_matrix,
 )
-from .model import ModelParams, VolFunction
+from .model import ModelParams, VolFunction, VolKind
 
 INFEASIBLE = math.inf
 KKT_TOL = 1e-6   # converged: KKT residual <= KKT_TOL * max(1, |energy gradient|)
@@ -95,9 +96,8 @@ class VariationalProblem:
 @dataclass
 class RateResult:
     """Outcome of one rate problem. `iterations` counts the L-BFGS-B
-    iterations of the solves this call ran: a problem that reuses a
-    memoised unit-level solve (see `_solve_equality`) reports 0, and the
-    call that ran the unit solve reports that solve's count."""
+    iterations of the solves this call ran; a problem solved as an
+    eigenvalue problem (see `_solve_equality`) runs none and reports 0."""
 
     value: float
     controls: ControlVector
@@ -251,11 +251,6 @@ def _reduced_objective(problem: VariationalProblem, level: float, A: np.ndarray,
     return J, controls
 
 
-# unit-level equality solves of homogeneous problems, one per key of
-# `_solve_equality`; the results are never handed out, only scaled copies
-_unit_solves: dict = {}
-
-
 def _check_run(problem, A, hom, f, g, u, level):
     """Energy, |x_T - level|, least-squares KKT residual of the full problem,
     and whether that residual is at most `KKT_TOL` times max(1, norm of the
@@ -287,49 +282,73 @@ def _infeasible(problem, iterations, level) -> RateResult:
 def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
     """Minimise the control energy subject to x_terminal = level.
 
-    A problem from the fixed start 0 at level l != 0 whose sigma_tilde is
-    positively homogeneous of degree 1 (`VolFunction.tilde_homogeneous`) is
-    exactly homogeneous on the grid: scaling (f, g) by lam scales y by lam
-    and x by lam^2, drift term included, and the energy by lam^2, for every
-    kernel and constraint node. Such a problem runs `_multistart` once at
-    level sign(l), memoised per (kernel, vol kind, c1, grid, rho, drift,
-    constraint node, sign), and returns those controls scaled by sqrt|l|,
-    with the paths rebuilt and the energy, feasibility and KKT residual
-    checked again at l exactly as each multistart run is. `converged` needs
-    the unit solve's as well. A failed unit solve or a scaled check that
-    fails gives INFEASIBLE. Every other problem (free or nonzero start,
-    Constant or Tabulated vol, l = 0) runs `_multistart` at l.
+    From the fixed start 0 at level l != 0 with a Linear (sigma_tilde = y)
+    or AffineAbs (c1 |y|) vol, take c = 1 or c1 and the whitened controls
+    z = (sqrt(w) f, sqrt(w) g), whose energy is |z|^2 / 2. On paths with
+    y >= 0, x_terminal = z^T Q z with N = W^{-1/2} A^T W_m W^{-1/2},
+    D = W^{-1/2} A^T W_m A W^{-1/2} (W_m: weights masked after the
+    constraint node) and
+
+        Q = [[c rho (N + N^T)/2 - 1/2 c^2 1_drift D, c rho_bar N/2],
+             [c rho_bar N^T/2, 0]],
+
+    so the rate is l / (2 lam), lam the extreme eigenvalue of Q on the side
+    of l (none if lam l <= 0), at z = sqrt(l / lam) v for its unit
+    eigenvector v. Linear takes that one branch; AffineAbs the cheaper of
+    the problem at rho with y >= 0 and the one at -rho with y <= 0, where f
+    is negated. Each eigenvector is oriented so that y at the constraint
+    node has its branch's sign, and each candidate is checked at l under
+    the problem's own vol by `_check_run` (feasibility, KKT residual,
+    `converged`). No L-BFGS-B runs, so `iterations` is 0. Every other
+    problem (free or nonzero start, Constant or Tabulated vol, l = 0), and
+    one with no feasible candidate (c1 = 0), runs `_multistart`.
     """
     vol = problem.vol
     lo, hi = problem.start
-    if lo != 0.0 or hi != 0.0 or level == 0.0 or not vol.tilde_homogeneous:
+    linear = vol.kind is VolKind.LINEAR
+    if lo != 0.0 or hi != 0.0 or level == 0.0 or not (linear or vol.kind is VolKind.AFFINE_ABS):
         return _multistart(problem, level)
-    sign = math.copysign(1.0, level)
-    key = (problem.kernel, vol.kind, vol.c1, problem.grid, problem.rho,
-           problem.include_drift, problem.node_index, sign)
-    unit = _unit_solves.get(key)
-    iterations = 0
-    if unit is None:
-        unit = _unit_solves[key] = _multistart(problem, sign)
-        iterations = unit.iterations
-    if unit.value == INFEASIBLE:
-        return _infeasible(problem, iterations, level)
-    lam = math.sqrt(abs(level))
-    f, g = lam * unit.controls.f, lam * unit.controls.g
-    A = operator_matrix(problem.kernel, problem.grid)
+    grid = problem.grid
+    n, j = grid.n, problem.node_index
+    c = 1.0 if linear else vol.c1
+    A = operator_matrix(problem.kernel, grid)
     hom = problem.homogeneous_factor()
-    energy, r, kkt, kkt_ok = _check_run(problem, A, hom, f, g, 0.0, level)
-    if r > FEAS_TOL:
-        return _infeasible(problem, iterations, level)
-    cv = ControlVector(f, g)
-    y, x = path_from_controls(problem, cv, start=0.0)
-    return RateResult(energy, cv, y, x, 0.0, unit.converged and kkt_ok, iterations, kkt, level)
+    s = 1.0 / np.sqrt(grid.w)
+    wm = grid.w.copy()
+    wm[j + 1:] = 0.0
+    B = A * s                                  # A W^{-1/2}
+    Nt = (wm * s)[:, None] * B                 # N^T
+    base = np.zeros((2 * n, 2 * n))
+    if problem.include_drift:
+        base[:n, :n] = -0.5 * c * c * (B.T @ (wm[:, None] * B))
+    base[:n, n:] = 0.5 * c * problem.rho_bar * Nt.T
+    base[n:, :n] = base[:n, n:].T
+    index = 2 * n - 1 if level > 0 else 0
+    best = None
+    for branch in (1.0,) if linear else (1.0, -1.0):
+        Q = base.copy()
+        Q[:n, :n] += 0.5 * c * branch * problem.rho * (Nt + Nt.T)
+        lam, v = eigh(Q, subset_by_index=[index, index])
+        if lam[0] * level <= 0.0:
+            continue
+        z = math.sqrt(level / lam[0]) * v[:, 0]
+        if A[j] @ (s * z[:n]) < 0.0:
+            z = -z
+        f, g = branch * s * z[:n], s * z[n:]
+        energy, r, kkt, kkt_ok = _check_run(problem, A, hom, f, g, 0.0, level)
+        if r <= FEAS_TOL and (best is None or energy < best[0]):
+            best = (energy, f, g, kkt, kkt_ok)
+    if best is None:
+        return _multistart(problem, level)
+    energy, f, g, kkt, ok = best
+    y, x = _paths(problem, A, hom, f, g, 0.0)
+    return RateResult(energy, ControlVector(f, g), y, x, 0.0, ok, 0, kkt, level)
 
 
 def _multistart(problem: VariationalProblem, level: float) -> RateResult:
-    """`_solve_equality` at `level` without rescaling.
+    """`_solve_equality` at `level` by multistart L-BFGS-B.
 
-    Multistart L-BFGS-B on the reduced objective of `_reduced_objective`
+    L-BFGS-B runs on the reduced objective of `_reduced_objective`
     (g eliminated in closed form; bounds on u only when the start is
     free), one run per distinct (f0, u0) start. A start where S = 0 cannot
     be evaluated and is skipped. Each run's (f, g*, u) is checked against
@@ -378,9 +397,8 @@ def _multistart(problem: VariationalProblem, level: float) -> RateResult:
     if best is None:
         return _infeasible(problem, total_iters, level)
     energy, f, g, u, kkt, ok = best
-    cv = ControlVector(f, g)
-    y, x = path_from_controls(problem, cv, start=u)
-    return RateResult(energy, cv, y, x, u, ok, total_iters, kkt, level)
+    y, x = _paths(problem, A, hom, f, g, u)
+    return RateResult(energy, ControlVector(f, g), y, x, u, ok, total_iters, kkt, level)
 
 
 def _unconstrained_terminal(problem: VariationalProblem):
@@ -390,8 +408,10 @@ def _unconstrained_terminal(problem: VariationalProblem):
     constraint side."""
     lo, hi = problem.start
     us = np.array([lo]) if hi <= lo else np.linspace(lo, hi, 9)
-    zero = ControlVector(np.zeros(problem.grid.n), np.zeros(problem.grid.n))
-    vals = [path_from_controls(problem, zero, start=u)[1][problem.node_index] for u in us]
+    A = operator_matrix(problem.kernel, problem.grid)
+    hom = problem.homogeneous_factor()
+    zero = np.zeros(problem.grid.n)
+    vals = [_paths(problem, A, hom, zero, zero, u)[1][problem.node_index] for u in us]
     return us, np.asarray(vals)
 
 
@@ -401,9 +421,9 @@ def solve(problem: VariationalProblem) -> RateResult:
     Inequality senses first check zero-control feasibility (value 0);
     otherwise the constraint binds. Equality constraints, and inequality
     ones that bind, make one call of `_solve_equality` at `problem.level`:
-    multistart L-BFGS-B on the energy with g eliminated in closed form, or,
-    for a homogeneous problem from the start 0, the memoised solve at level
-    +-1 scaled to the level. A "<=" problem is the ">=" problem for -x.
+    an extreme eigenvalue problem for a Linear or AffineAbs vol from the
+    start 0, else multistart L-BFGS-B on the energy with g eliminated in
+    closed form. A "<=" problem is the ">=" problem for -x.
     """
     if problem.sense != "=":
         sgn = 1.0 if problem.sense == ">=" else -1.0

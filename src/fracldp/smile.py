@@ -167,7 +167,6 @@ def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: i
     grid = TimeGrid.uniform(n_grid)
     xb, yb = simulate(params, law, scheme, eps, grid, n_paths, seed)
     rng = np.random.default_rng(np.random.SeedSequence([0xB00F, seed_label(seed)]))
-    out = []
     if method == "conditional":
         # integrated variance of the unrescaled log-price over [0, t]: the
         # rescaled noise coefficient is eps^{2H+b} s(Y) and the terminal
@@ -180,43 +179,30 @@ def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: i
         V = scale2 * np.sum(svol * svol * grid.w[None, :], axis=1)
         V = np.maximum(V, 1e-300)
         sv = np.sqrt(V)
-        for k in strikes:
-            strike = math.exp(k)
-            d1 = (-k + 0.5 * V) / sv
-            cond = ndtr(d1) - strike * ndtr(d1 - sv)
-            price = float(np.mean(cond))
-            if price <= max(1.0 - strike, 0.0) or price >= 1.0:
-                out.append(SmilePoint(k=k, implied_vol=0.0, std_err=math.nan, price=price, censored=True))
-                continue
-            vol = bs_implied_vol(price, 1.0, strike, t)
-            boots = []
-            for _ in range(n_boot):
-                idx = rng.integers(0, n_paths, n_paths)
-                pb = float(np.mean(cond[idx]))
-                if pb <= max(1.0 - strike, 0.0) or pb >= 1.0:
-                    continue
-                boots.append(bs_implied_vol(pb, 1.0, strike, t))
-            se = float(np.std(boots)) if len(boots) > 1 else math.nan
-            out.append(SmilePoint(k=k, implied_vol=vol, std_err=se, price=price))
-        return out
-    # X_t = t^{1/2 - H - b} X^eps_1
-    x_t = t ** (0.5 - H - b) * xb.values[:, -1]
-    s_t = np.exp(x_t)
-    fwd_full = float(np.mean(s_t))
+        s_t = None
+    else:
+        # X_t = t^{1/2 - H - b} X^eps_1
+        s_t = np.exp(t ** (0.5 - H - b) * xb.values[:, -1])
+    # the conditional price is per unit forward; the raw one's forward is mean(S_t)
+    fwd = 1.0 if s_t is None else float(np.mean(s_t))
+    out = []
     for k in strikes:
         strike = math.exp(k)
-        payoff = np.maximum(s_t - strike, 0.0)
-        price = float(np.mean(payoff))
-        intrinsic = max(fwd_full - strike, 0.0)
-        if price <= intrinsic or price >= fwd_full:
+        if s_t is None:
+            d1 = (-k + 0.5 * V) / sv
+            per_path = ndtr(d1) - strike * ndtr(d1 - sv)
+        else:
+            per_path = np.maximum(s_t - strike, 0.0)
+        price = float(np.mean(per_path))
+        if price <= max(fwd - strike, 0.0) or price >= fwd:
             out.append(SmilePoint(k=k, implied_vol=0.0, std_err=math.nan, price=price, censored=True))
             continue
-        vol = bs_implied_vol(price, fwd_full, strike, t)
+        vol = bs_implied_vol(price, fwd, strike, t)
         boots = []
         for _ in range(n_boot):
             idx = rng.integers(0, n_paths, n_paths)
-            pb = float(np.mean(payoff[idx]))
-            fb = float(np.mean(s_t[idx]))
+            pb = float(np.mean(per_path[idx]))
+            fb = 1.0 if s_t is None else float(np.mean(s_t[idx]))
             if pb <= max(fb - strike, 0.0) or pb >= fb:
                 continue
             boots.append(bs_implied_vol(pb, fb, strike, t))

@@ -120,10 +120,11 @@ class TestSolve:
         assert abs(res.value - 0.5) <= 1e-10
 
     def test_not_converged_when_cut_off(self, monkeypatch):
+        # a nonzero fixed start, so the solve runs L-BFGS-B
         p = VariationalProblem(
             kernel=KernelSpec(KernelKind.G_ZERO, HurstParams(0.3), xi=1.0),
             vol=linear_vol(), grid=TimeGrid.uniform(12), rho=0.3,
-            include_drift=True, level=0.8, sense="=",
+            include_drift=True, start=(0.2, 0.2), level=0.8, sense="=",
         )
         assert solve(p).converged
         full = rates.minimize
@@ -132,9 +133,6 @@ class TestSolve:
             kwargs["options"] = dict(kwargs.get("options") or {}, maxiter=1)
             return full(*args, **kwargs)
 
-        # the solve above memoised its unit-level run; an empty memo makes
-        # the cut-off run happen, and is dropped again after the test
-        monkeypatch.setattr(rates, "_unit_solves", {})
         monkeypatch.setattr(rates, "minimize", one_iteration)
         res = solve(p)
         assert math.isfinite(res.value)
@@ -291,16 +289,18 @@ class TestInequalityBinds:
 
 def unit_scale_problem(H=0.3, kernel="g_zero", beta=-1.0, vol="affine", c1=1.0,
                        grid=None, rho=-0.4, drift=False, node=7, level=0.6):
-    """Equality problem from the start 0 that `_solve_equality` rescales."""
+    """Equality problem from the start 0 that `_solve_equality` solves as an
+    eigenvalue problem."""
     kernels = {"g_zero": KernelSpec(KernelKind.G_ZERO, HurstParams(H), xi=1.0),
-               "f_fou": KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta, xi=1.0)}
+               "f_fou": KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta, xi=1.0),
+               "k_fbm": KernelSpec(KernelKind.K_FBM, HurstParams(H))}
     vols = {"affine": affine_abs_vol(0.1, c1, b=0.5), "linear": linear_vol()}
     return VariationalProblem(
         kernel=kernels[kernel], vol=vols[vol], grid=grid or TimeGrid.uniform(12),
         rho=rho, include_drift=drift, level=level, sense="=", constraint_node=node)
 
 
-# sigma_tilde = |y| given as callables, so its degree is not known to the solver
+# sigma_tilde = |y| given as callables: a Tabulated vol, which keeps `_multistart`
 TABULATED_ABS = VolFunction(kind="Tabulated", sigma_fn=np.abs, sigma_tilde_fn=np.abs)
 
 
@@ -310,24 +310,31 @@ def graded_grid(n, q):
 
 
 class TestUnitScale:
-    """From the start 0 with a degree-1 homogeneous sigma_tilde, a problem at
-    level l is the memoised one at sign(l) with controls scaled by sqrt|l|."""
+    """From the start 0 with a Linear or AffineAbs vol, x_T is a quadratic
+    form in the whitened controls on each one-signed branch of y, so the
+    rate at level l is l / (2 lam) for an extreme eigenvalue lam, and |l|
+    times the rate at sign(l). `_solve_equality` solves it that way, with
+    no L-BFGS-B run."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(H=st.floats(0.1, 0.9), rho=st.floats(-0.9, 0.9), c1=st.floats(0.2, 2.0),
            vol=st.sampled_from(["affine", "linear"]), drift=st.booleans(),
-           kernel=st.sampled_from(["g_zero", "f_fou"]), node=st.integers(2, 9),
+           kernel=st.sampled_from(["g_zero", "f_fou", "k_fbm"]), node=st.integers(2, 9),
+           q=st.sampled_from([1.0, 1.5, 3.0]),
            magnitude=st.floats(0.05, 20.0), sign=st.sampled_from([1.0, -1.0]))
     def test_rescaling_equals_a_direct_solve(self, H, rho, c1, vol, drift, kernel,
-                                             node, magnitude, sign):
+                                             node, q, magnitude, sign):
+        # q > 1: nodes (k/n)^q, graded towards 0
+        grid = TimeGrid.uniform(12) if q == 1.0 else graded_grid(12, q)
         p = unit_scale_problem(H=H, kernel=kernel, vol=vol, c1=c1, rho=rho, drift=drift,
-                               node=node, level=sign * magnitude)
-        scaled = solve(p)
+                               grid=grid, node=node, level=sign * magnitude)
+        eigen = solve(p)
         direct = rates._multistart(p, p.level)
-        assert scaled.converged and direct.converged
-        assert scaled.value == pytest.approx(direct.value, rel=1e-9)
-        assert scaled.x_path[node] == pytest.approx(p.level, abs=1e-6)
-        assert scaled.level_used == p.level and scaled.start_used == 0.0
+        assert eigen.converged and direct.converged
+        assert eigen.iterations == 0
+        assert eigen.value == pytest.approx(direct.value, rel=1e-9)
+        assert eigen.x_path[node] == pytest.approx(p.level, abs=1e-6)
+        assert eigen.level_used == p.level and eigen.start_used == 0.0
 
     @pytest.mark.parametrize("field,variant", [
         ("H", dict(H=0.4)),
@@ -339,9 +346,8 @@ class TestUnitScale:
         ("drift", dict(drift=True)),
         ("node", dict(node=9)),
     ])
-    def test_problems_differing_in_one_key_field(self, field, variant, monkeypatch):
+    def test_problems_differing_in_one_key_field(self, field, variant):
         base = dict(kernel="f_fou", c1=1.0)
-        monkeypatch.setattr(rates, "_unit_solves", {})
         for p in (unit_scale_problem(**base), unit_scale_problem(**{**base, **variant})):
             res = solve(p)
             direct = rates._multistart(p, p.level)
@@ -358,7 +364,7 @@ class TestUnitScale:
         assert again.value == value
         assert np.array_equal(again.controls.f, f) and np.array_equal(again.controls.g, g)
 
-    def test_shuffled_smalltime_sweep_equals_sorted(self, monkeypatch):
+    def test_shuffled_smalltime_sweep_equals_sorted(self):
         params = ModelParams(rho=-0.5, hurst=HurstParams(0.3), vol=affine_abs_vol(0.1, 1.0, b=0.5))
         grid = TimeGrid.uniform(16)
         ks = sorted(s * 0.1 * i for i in range(1, 6) for s in (1, -1))
@@ -366,25 +372,23 @@ class TestUnitScale:
         np.random.default_rng(5).shuffle(shuffled)
         sweeps = []
         for order in (ks, shuffled):
-            monkeypatch.setattr(rates, "_unit_solves", {})
             sweeps.append({k: smalltime_rate(params, k, 0.5, grid=grid).value for k in order})
         assert sweeps[0] == sweeps[1]
 
-    def test_one_multistart_per_sign(self, monkeypatch):
-        params = ModelParams(rho=-0.5, hurst=HurstParams(0.3), vol=affine_abs_vol(0.1, 1.0, b=0.5))
-        levels = []
-        inner = rates._multistart
+    def test_sweeps_from_the_start_0_run_no_lbfgsb(self, monkeypatch):
+        def no_lbfgsb(*args, **kwargs):
+            raise AssertionError("L-BFGS-B called")
 
-        def counted(problem, level):
-            levels.append(level)
-            return inner(problem, level)
-
-        monkeypatch.setattr(rates, "_unit_solves", {})
-        monkeypatch.setattr(rates, "_multistart", counted)
-        results = [smalltime_rate(params, k, 0.5, grid=TimeGrid.uniform(16))
-                   for k in (0.1, -0.2, 0.3, -0.1, 0.2)]
-        assert levels == [1.0, -1.0]
-        assert [r.iterations > 0 for r in results] == [True, True, False, False, False]
+        monkeypatch.setattr(rates, "minimize", no_lbfgsb)
+        grid = TimeGrid.uniform(16)
+        affine = ModelParams(rho=-0.5, hurst=HurstParams(0.3), vol=affine_abs_vol(0.1, 1.0, b=0.5))
+        linear = ModelParams(rho=-0.3, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        results = [smalltime_rate(affine, k, 0.5, grid=grid) for k in (0.1, -0.2, 0.3, -0.1)]
+        results += [tail_rate(linear, y, 0.75, grid=grid) for y in (0.5, 1.0, 2.0)]
+        for res in results:
+            assert res.iterations == 0
+            assert res.converged and 0.0 < res.value < math.inf
+            assert res.x_path[-1] == pytest.approx(res.level_used, abs=1e-12)
 
     @pytest.mark.parametrize("change", [
         dict(vol=constant_vol(0.7)),
@@ -393,23 +397,15 @@ class TestUnitScale:
         dict(start=(0.2, 0.2)),
         dict(level=0.0),
     ], ids=["constant", "tabulated", "free_start", "nonzero_start", "zero_level"])
-    def test_other_problems_take_the_direct_path(self, change, monkeypatch):
+    def test_other_problems_take_the_direct_path(self, change):
         p = dataclasses.replace(unit_scale_problem(), **change)
-        monkeypatch.setattr(rates, "_unit_solves", {})
         res = solve(p)
-        assert rates._unit_solves == {}
         assert res.value == rates._multistart(p, p.level).value
 
     def test_vanishing_vol_is_infeasible(self):
         res = solve(unit_scale_problem(c1=0.0, level=-2.5))
         assert res.value == INFEASIBLE and not res.converged
         assert res.level_used == -2.5
-
-    def test_tilde_homogeneous_kinds(self):
-        assert linear_vol().tilde_homogeneous
-        assert affine_abs_vol(0.1, 2.0).tilde_homogeneous
-        assert not constant_vol(1.0).tilde_homogeneous
-        assert not TABULATED_ABS.tilde_homogeneous
 
 
 @pytest.mark.slow
