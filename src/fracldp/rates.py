@@ -6,13 +6,16 @@ chaining f through a Volterra kernel into the volatility path and both
 channels into the price integral. Optionally the volatility starting point
 ranges over a compact interval and is optimized jointly.
 
-For fixed f (and start) the constraint is linear in g, so the cheapest g is
-explicit; `solve` minimises the resulting reduced energy over f (and the
-start) alone, by multistart L-BFGS-B. An inequality constraint that the
-zero control misses binds, so it is solved as the equality at its level.
-From the start 0 with a Linear or AffineAbs vol, x_terminal is a quadratic
-form in the controls, so the equality problem is an extreme eigenvalue
-problem and is solved as one.
+An inequality constraint that the zero control misses binds, so it is
+solved as the equality at its level. With a Linear or AffineAbs vol,
+x_terminal is a quadratic form in the controls and the start on each
+one-signed branch of y. From the start 0 the equality problem is then an
+extreme eigenvalue problem; from a nonzero start, fixed or free over an
+interval, it is a secular equation in the constraint's multiplier, solved
+on one cached eigendecomposition per form. Other vols, and the problems
+these routes decline, eliminate g in closed form (for fixed f and start the
+constraint is linear in g) and minimise the reduced energy over f (and the
+start) by multistart L-BFGS-B.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import minimize
 
 from .kernels import (
     DomainError,
     KernelKind,
     KernelSpec,
     TimeGrid,
+    _cache_key,
     operator_matrix,
 )
 from .model import ModelParams, VolFunction, VolKind
@@ -97,7 +100,8 @@ class VariationalProblem:
 class RateResult:
     """Outcome of one rate problem. `iterations` counts the L-BFGS-B
     iterations of the solves this call ran; a problem solved as an
-    eigenvalue problem (see `_solve_equality`) runs none and reports 0."""
+    eigenvalue or secular problem (see `_solve_equality`) runs none and
+    reports 0."""
 
     value: float
     controls: ControlVector
@@ -279,38 +283,42 @@ def _infeasible(problem, iterations, level) -> RateResult:
     return _zero_result(problem, problem.start[0], INFEASIBLE, False, iterations, math.nan, level)
 
 
-def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
-    """Minimise the control energy subject to x_terminal = level.
+# Eigendecompositions of the whitened quadratic forms of `_solve_equality`,
+# one per (kernel, grid, rho times the branch sign, c, drift, constraint
+# node); their arrays are read-only.
+_form_cache: dict = {}
 
-    From the fixed start 0 at level l != 0 with a Linear (sigma_tilde = y)
-    or AffineAbs (c1 |y|) vol, take c = 1 or c1 and the whitened controls
-    z = (sqrt(w) f, sqrt(w) g), whose energy is |z|^2 / 2. On paths with
-    y >= 0, x_terminal = z^T Q z with N = W^{-1/2} A^T W_m W^{-1/2},
-    D = W^{-1/2} A^T W_m A W^{-1/2} (W_m: weights masked after the
-    constraint node) and
+# Newton steps of `_bracketed_newton` before it gives up
+_NEWTON_STEPS = 200
+# relative residual at which a secular root is accepted
+_ROOT_TOL = 1e-9
+# relative margin by which a lower bound may undercut the winning candidate
+_BOUND_TOL = 1e-9
 
-        Q = [[c rho (N + N^T)/2 - 1/2 c^2 1_drift D, c rho_bar N/2],
-             [c rho_bar N^T/2, 0]],
 
-    so the rate is l / (2 lam), lam the extreme eigenvalue of Q on the side
-    of l (none if lam l <= 0), at z = sqrt(l / lam) v for its unit
-    eigenvector v. Linear takes that one branch; AffineAbs the cheaper of
-    the problem at rho with y >= 0 and the one at -rho with y <= 0, where f
-    is negated. Each eigenvector is oriented so that y at the constraint
-    node has its branch's sign, and each candidate is checked at l under
-    the problem's own vol by `_check_run` (feasibility, KKT residual,
-    `converged`). No L-BFGS-B runs, so `iterations` is 0. Every other
-    problem (free or nonzero start, Constant or Tabulated vol, l = 0), and
-    one with no feasible candidate (c1 = 0), runs `_multistart`.
+def _quadratic_form(problem: VariationalProblem, c: float, rho: float):
+    """(lam, V, bhat, d0) of x_terminal = z^T Q z + u b^T z + u^2 d0.
+
+    z = (sqrt(w) f, sqrt(w) g) are the whitened controls and u the start,
+    for the Linear form sigma_tilde = c y at correlation `rho` on paths
+    with y >= 0 (see `_solve_equality` for Q). b and d0 carry the start's
+    path u * homogeneous_factor: with r = W_m W^{-1/2} hom,
+
+        b = c [rho r - 1_drift c B^T W_m hom ; rho_bar r],
+        d0 = -1/2 1_drift c^2 sum W_m hom^2,
+
+    B = A W^{-1/2}. lam ascending with unit eigenvectors V (Q = V diag(lam)
+    V^T) and bhat = V^T b. Cached in `_form_cache`; the arrays are
+    read-only.
     """
-    vol = problem.vol
-    lo, hi = problem.start
-    linear = vol.kind is VolKind.LINEAR
-    if lo != 0.0 or hi != 0.0 or level == 0.0 or not (linear or vol.kind is VolKind.AFFINE_ABS):
-        return _multistart(problem, level)
+    key = (_cache_key("op", problem.kernel, problem.grid), rho, c,
+           problem.include_drift, problem.node_index)
+    form = _form_cache.get(key)
+    if form is not None:
+        return form
     grid = problem.grid
     n, j = grid.n, problem.node_index
-    c = 1.0 if linear else vol.c1
+    rho_bar = math.sqrt(1.0 - rho * rho)
     A = operator_matrix(problem.kernel, grid)
     hom = problem.homogeneous_factor()
     s = 1.0 / np.sqrt(grid.w)
@@ -318,35 +326,237 @@ def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
     wm[j + 1:] = 0.0
     B = A * s                                  # A W^{-1/2}
     Nt = (wm * s)[:, None] * B                 # N^T
-    base = np.zeros((2 * n, 2 * n))
+    r = wm * s * hom
+    Q = np.zeros((2 * n, 2 * n))
+    b = np.concatenate([c * rho * r, c * rho_bar * r])
+    d0 = 0.0
     if problem.include_drift:
-        base[:n, :n] = -0.5 * c * c * (B.T @ (wm[:, None] * B))
-    base[:n, n:] = 0.5 * c * problem.rho_bar * Nt.T
-    base[n:, :n] = base[:n, n:].T
-    index = 2 * n - 1 if level > 0 else 0
-    best = None
-    for branch in (1.0,) if linear else (1.0, -1.0):
-        Q = base.copy()
-        Q[:n, :n] += 0.5 * c * branch * problem.rho * (Nt + Nt.T)
-        lam, v = eigh(Q, subset_by_index=[index, index])
-        if lam[0] * level <= 0.0:
-            continue
-        z = math.sqrt(level / lam[0]) * v[:, 0]
-        if A[j] @ (s * z[:n]) < 0.0:
-            z = -z
-        f, g = branch * s * z[:n], s * z[n:]
-        energy, r, kkt, kkt_ok = _check_run(problem, A, hom, f, g, 0.0, level)
-        if r <= FEAS_TOL and (best is None or energy < best[0]):
-            best = (energy, f, g, kkt, kkt_ok)
-    if best is None:
+        Q[:n, :n] = -0.5 * c * c * (B.T @ (wm[:, None] * B))
+        b[:n] -= c * c * (B.T @ (wm * hom))
+        d0 = -0.5 * c * c * float(wm @ (hom * hom))
+    Q[:n, n:] = 0.5 * c * rho_bar * Nt.T
+    Q[n:, :n] = Q[:n, n:].T
+    Q[:n, :n] += 0.5 * c * rho * (Nt + Nt.T)
+    lam, V = eigh(Q)
+    bhat = V.T @ b
+    for arr in (lam, V, bhat):
+        arr.flags.writeable = False
+    form = _form_cache[key] = (lam, V, bhat, d0)
+    return form
+
+
+def _bracketed_newton(F, a: float, b: float) -> float:
+    """Zero of an increasing function on the open interval (a, b).
+
+    F(x) returns (F(x), Newton's next iterate). A step that leaves the
+    bracket, which shrinks to every iterate by the sign of F there, is
+    replaced by bisection. Stops when a step moves x by a few ulps or the
+    bracket closes; the caller checks the residual.
+    """
+    x = 0.5 * (a + b)
+    for _ in range(_NEWTON_STEPS):
+        val, nxt = F(x)
+        if val == 0.0:
+            break
+        if val < 0.0:
+            a = x
+        else:
+            b = x
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+            if not a < nxt < b:
+                break
+        if abs(nxt - x) <= 4e-16 * abs(x):
+            return nxt
+        x = nxt
+    return x
+
+
+def _secular_start(lam, bhat, d0: float, level: float, r_lo: float, r_hi: float,
+                   floor: float = 0.0):
+    """Least energy of z^T Q z + u b^T z + u^2 d0 = level over |u| = r in
+    [r_lo, r_hi], 0 < r_hi, given Q = V diag(lam) V^T and bhat = V^T b.
+
+    With s_i = 1 - 2 mu lam_i, the minimiser at a fixed u is
+    z = mu u V (bhat / s), mu being the root of the increasing secular
+    function
+
+        phi(mu) = sum bhat_i^2 mu (1 - mu lam_i) / s_i^2 = level/u^2 - d0
+
+    on the interval where I - 2 mu Q is positive semidefinite, and its
+    energy is u^2 e(mu), e = mu^2/2 sum bhat_i^2 / s_i^2 (Moré,
+    "Generalizations of the trust region problem", Optim. Methods Softw. 2,
+    1993). With phi~ = phi + d0 and u^2 = level / phi~(mu), the energy over
+    free starts is R(mu) = level e / phi~. Since e' = mu phi' and
+    phi~' = phi', R' has the sign of G = level (mu phi~ - e), which
+    increases (G' = level phi~), so R has one minimum: at the root of G, or
+    at the end of the mu interval that the radii map to.
+
+    Returns (mu, r, bound): the minimiser, with r exactly r_lo or r_hi at
+    an end, and a lower bound of min r^2 max(e, floor) over the radii, the
+    least energy of a path that also needs energy floor * u^2
+    (`_solve_equality`); at floor 0 the bound is the minimiser's energy.
+    None when a root is not found to `_ROOT_TOL`: the "hard case" (bhat
+    orthogonal to the extreme eigenvector) or a one-signed Q.
+    """
+    b2 = bhat * bhat
+    if lam[-1] <= 0.0 or lam[0] >= 0.0:
+        return None
+    mu_hi, mu_lo = 0.5 / lam[-1], 0.5 / lam[0]
+
+    def sums(mu):
+        """phi, phi' and e at mu."""
+        s = 1.0 - 2.0 * mu * lam
+        q = b2 / (s * s)
+        return mu * float(q @ (1.0 - mu * lam)), float(q @ (1.0 / s)), 0.5 * mu * mu * float(q.sum())
+
+    def root(tau):
+        if tau == 0.0:
+            return 0.0
+
+        def F(mu):
+            phi, dphi, _ = sums(mu)
+            # Newton on phi^{-1/2} = tau^{-1/2}, nearly linear at the pole
+            ratio = phi / tau
+            return phi - tau, mu + 2.0 * phi * (1.0 - math.sqrt(ratio)) / dphi if ratio > 0 else math.nan
+
+        mu = _bracketed_newton(F, 0.0, mu_hi) if tau > 0 else _bracketed_newton(F, mu_lo, 0.0)
+        return mu if abs(sums(mu)[0] - tau) <= _ROOT_TOL * abs(tau) else None
+
+    mu = root(level / (r_hi * r_hi) - d0)
+    if mu is None:
+        return None
+    r, mu_b = r_hi, mu
+    # the r_lo end; r_lo = 0 is the pole on the side of level, where e = inf
+    pole = r_lo == 0.0
+    if r_lo < r_hi:
+        mu_b = (mu_hi if level > 0 else mu_lo) if pole else root(level / (r_lo * r_lo) - d0)
+        if mu_b is None:
+            return None
+
+        def G(x):
+            phi, _, e = sums(x)
+            return level * (x * (phi + d0) - e), e / (phi + d0)
+
+        (left, r_left), (right, r_right) = sorted([(mu, r_hi), (mu_b, r_lo)])
+        if not (pole and left == mu_b) and G(left)[0] >= 0.0:
+            mu, r = left, r_left
+        elif not (pole and right == mu_b) and G(right)[0] <= 0.0:
+            mu, r = right, r_right
+        else:
+            mu = _bracketed_newton(G, left, right)
+            phi, _, e = sums(mu)
+            if abs(mu * (phi + d0) - e) > _ROOT_TOL * (abs(mu * (phi + d0)) + e):
+                return None
+            r = min(max(math.sqrt(level / (phi + d0)), r_lo), r_hi)
+    e = sums(mu)[2]
+    if floor <= e or mu == mu_b:
+        return mu, r, r * r * max(e, floor)
+    # e < floor at R's minimum: r^2 max(e, floor) is least where e = floor,
+    # on the way to the r_lo end, along which e grows to e(mu_b)
+    if not pole and sums(mu_b)[2] < floor:
+        return mu, r, r_lo * r_lo * floor
+    d = 1.0 if mu_b > mu else -1.0
+
+    def E(x):
+        _, dphi, e = sums(x)
+        return d * (e - floor), x - (e - floor) / (x * dphi) if x else math.nan
+
+    x = _bracketed_newton(E, mu, mu_b) if d > 0 else _bracketed_newton(E, mu_b, mu)
+    phi, _, e = sums(x)
+    return mu, r, level / (phi + d0) * max(e, floor)
+
+
+def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
+    """Minimise the control energy subject to x_terminal = level.
+
+    Linear (sigma_tilde = y) and AffineAbs (c1 |y|) vols at l != 0: with
+    c = 1 or c1, the whitened controls z = (sqrt(w) f, sqrt(w) g), whose
+    energy is |z|^2 / 2, and the start u, paths with y >= 0 have
+
+        x_terminal = z^T Q z + u b^T z + u^2 d0,
+        Q = [[c rho (N + N^T)/2 - 1/2 c^2 1_drift D, c rho_bar N/2],
+             [c rho_bar N^T/2, 0]],
+
+    N = W^{-1/2} A^T W_m W^{-1/2}, D = W^{-1/2} A^T W_m A W^{-1/2} (W_m:
+    weights masked after the constraint node), b and d0 as in
+    `_quadratic_form`, which caches Q's eigendecomposition. Linear takes
+    this one branch; AffineAbs also the problem at -rho with y <= 0, where
+    f and u are negated. On a branch, the start 0 gives the rate l / (2 lam),
+    lam the extreme eigenvalue of Q on the side of l (none if lam l <= 0),
+    at z = sqrt(l / lam) v for its unit eigenvector v, oriented so that y at
+    the constraint node is >= 0. A nonzero start, fixed or free, is solved
+    by `_secular_start`, once for each sign of u the start interval holds.
+
+    Each candidate is checked at l under the problem's own vol by
+    `_check_run` (feasibility, KKT residual, `converged`), and the feasible
+    one of least energy wins. A candidate that fails the check (its y
+    changes sign) still bounds its branch and sign of u from below: by its
+    energy, and where u pulls y to the wrong sign (branch times the sign of
+    u < 0) also by u^2 max_i hom_i^2 / (2 sum_k A_ik^2 / w_k), the energy f
+    needs to bring y at node i back to 0. If such a bound is below the
+    winner's energy, the problem runs `_multistart`; so do Constant and
+    Tabulated vols, l = 0, a root that `_secular_start` declines and a
+    problem with no feasible candidate (c1 = 0). Paths on which y changes
+    sign are not covered; the property tests compare this route with
+    `_multistart`. No L-BFGS-B runs here, so `iterations` is 0.
+    """
+    vol = problem.vol
+    linear = vol.kind is VolKind.LINEAR
+    if level == 0.0 or not (linear or vol.kind is VolKind.AFFINE_ABS):
         return _multistart(problem, level)
-    energy, f, g, kkt, ok = best
-    y, x = _paths(problem, A, hom, f, g, 0.0)
-    return RateResult(energy, ControlVector(f, g), y, x, 0.0, ok, 0, kkt, level)
+    grid = problem.grid
+    n, j = grid.n, problem.node_index
+    c = 1.0 if linear else vol.c1
+    A = operator_matrix(problem.kernel, grid)
+    hom = problem.homogeneous_factor()
+    s = 1.0 / np.sqrt(grid.w)
+    lo, hi = problem.start
+    # (sign of u, least and largest |u|) for each sign the start interval holds
+    if lo == hi:
+        arms = [(-1.0 if lo < 0 else 1.0, abs(lo), abs(lo))]
+    else:
+        arms = [(1.0, max(lo, 0.0), hi)] if hi > 0 else []
+        arms += [(-1.0, max(-hi, 0.0), -lo)] if lo < 0 else []
+    # per unit u^2, the f energy that brings y at node i from u hom_i to 0
+    floor = 0.5 * float(np.max(hom[: j + 1] ** 2 / ((A[: j + 1] ** 2) @ (1.0 / grid.w))))
+    best, bound = None, math.inf
+    for branch in (1.0,) if linear else (1.0, -1.0):
+        lam, V, bhat, d0 = _quadratic_form(problem, c, branch * problem.rho)
+        for sign, r_lo, r_hi in arms:
+            if r_hi == 0.0:
+                k = -1 if level > 0 else 0
+                if lam[k] * level <= 0.0:
+                    continue
+                z, u = math.sqrt(level / lam[k]) * V[:, k], 0.0
+                low = 0.5 * level / lam[k]
+                if A[j] @ (s * z[:n]) < 0.0:
+                    z = -z
+            else:
+                wrong_sign = not linear and branch * sign < 0.0
+                root = _secular_start(lam, bhat, d0, level, r_lo, r_hi,
+                                      floor if wrong_sign else 0.0)
+                if root is None:
+                    return _multistart(problem, level)
+                mu, r, low = root
+                u = sign * r
+                z = V @ (mu * branch * u * bhat / (1.0 - 2.0 * mu * lam))
+            f, g = branch * s * z[:n], s * z[n:]
+            energy, res, kkt, kkt_ok = _check_run(problem, A, hom, f, g, u, level)
+            if res > FEAS_TOL:
+                bound = min(bound, low)
+            elif best is None or energy < best[0]:
+                best = (energy, f, g, u, kkt, kkt_ok)
+    if best is None or bound < best[0] * (1.0 - _BOUND_TOL):
+        return _multistart(problem, level)
+    energy, f, g, u, kkt, ok = best
+    y, x = _paths(problem, A, hom, f, g, u)
+    return RateResult(energy, ControlVector(f, g), y, x, u, ok, 0, kkt, level)
 
 
 def _multistart(problem: VariationalProblem, level: float) -> RateResult:
-    """`_solve_equality` at `level` by multistart L-BFGS-B.
+    """`_solve_equality` at `level` by multistart L-BFGS-B, for the
+    problems its eigenvalue and secular routes do not take.
 
     L-BFGS-B runs on the reduced objective of `_reduced_objective`
     (g eliminated in closed form; bounds on u only when the start is
@@ -358,6 +568,10 @@ def _multistart(problem: VariationalProblem, level: float) -> RateResult:
     holds by construction, so it cannot tell a converged run from a cut-off
     one.
     """
+    # imported here: only Constant and Tabulated vols and declined
+    # candidates get here, so most runs never load scipy.optimize
+    from scipy.optimize import minimize
+
     grid = problem.grid
     n = grid.n
     lo, hi = problem.start
@@ -421,9 +635,10 @@ def solve(problem: VariationalProblem) -> RateResult:
     Inequality senses first check zero-control feasibility (value 0);
     otherwise the constraint binds. Equality constraints, and inequality
     ones that bind, make one call of `_solve_equality` at `problem.level`:
-    an extreme eigenvalue problem for a Linear or AffineAbs vol from the
-    start 0, else multistart L-BFGS-B on the energy with g eliminated in
-    closed form. A "<=" problem is the ">=" problem for -x.
+    for a Linear or AffineAbs vol an extreme eigenvalue problem from the
+    start 0 and a secular equation from other starts, else multistart
+    L-BFGS-B on the energy with g eliminated in closed form. A "<=" problem
+    is the ">=" problem for -x.
     """
     if problem.sense != "=":
         sgn = 1.0 if problem.sense == ">=" else -1.0

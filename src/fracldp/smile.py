@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .kernels import DomainError, TimeGrid
@@ -124,6 +123,9 @@ def bs_implied_vol(price: float, forward: float, strike: float, maturity: float)
         if strike > forward:
             raise DomainError(f"price {price} of an out-of-the-money call identifies no vol")
         return 0.0
+    # imported here, so that importing fracldp does not load scipy.optimize
+    from scipy.optimize import brentq
+
     f = lambda v: bs_call_price(forward, strike, maturity, v) - price
     hi = 1.0
     while f(hi) < 0 and hi < 1e6:

@@ -1,8 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from fracldp import (
@@ -18,6 +24,7 @@ from fracldp import (
     VolFunction,
     affine_abs_vol,
     constant_vol,
+    forward_smile,
     l2_energy,
     linear_vol,
     path_from_controls,
@@ -120,20 +127,20 @@ class TestSolve:
         assert abs(res.value - 0.5) <= 1e-10
 
     def test_not_converged_when_cut_off(self, monkeypatch):
-        # a nonzero fixed start, so the solve runs L-BFGS-B
+        # sigma_tilde = y given as a Tabulated vol, so the solve runs L-BFGS-B
         p = VariationalProblem(
             kernel=KernelSpec(KernelKind.G_ZERO, HurstParams(0.3), xi=1.0),
-            vol=linear_vol(), grid=TimeGrid.uniform(12), rho=0.3,
+            vol=TABULATED_LINEAR, grid=TimeGrid.uniform(12), rho=0.3,
             include_drift=True, start=(0.2, 0.2), level=0.8, sense="=",
         )
         assert solve(p).converged
-        full = rates.minimize
+        full = scipy.optimize.minimize
 
         def one_iteration(*args, **kwargs):
             kwargs["options"] = dict(kwargs.get("options") or {}, maxiter=1)
             return full(*args, **kwargs)
 
-        monkeypatch.setattr(rates, "minimize", one_iteration)
+        monkeypatch.setattr(scipy.optimize, "minimize", one_iteration)
         res = solve(p)
         assert math.isfinite(res.value)
         assert not res.converged
@@ -141,14 +148,14 @@ class TestSolve:
     def test_not_converged_on_iteration_limit_status(self, monkeypatch):
         # a run stopped by its iteration limit does not count as converged,
         # however small its KKT residual
-        full = rates.minimize
+        full = scipy.optimize.minimize
 
         def limit_reported(*args, **kwargs):
             res = full(*args, **kwargs)
             res.status = 1
             return res
 
-        monkeypatch.setattr(rates, "minimize", limit_reported)
+        monkeypatch.setattr(scipy.optimize, "minimize", limit_reported)
         res = solve(identity_problem(level=0.7))
         assert res.kkt_residual <= 1e-8
         assert not res.converged
@@ -288,20 +295,22 @@ class TestInequalityBinds:
 
 
 def unit_scale_problem(H=0.3, kernel="g_zero", beta=-1.0, vol="affine", c1=1.0,
-                       grid=None, rho=-0.4, drift=False, node=7, level=0.6):
-    """Equality problem from the start 0 that `_solve_equality` solves as an
-    eigenvalue problem."""
+                       grid=None, rho=-0.4, drift=False, node=7, level=0.6, start=(0.0, 0.0)):
+    """Equality problem that `_solve_equality` solves without L-BFGS-B: an
+    eigenvalue problem from the start 0, a secular one from other starts."""
     kernels = {"g_zero": KernelSpec(KernelKind.G_ZERO, HurstParams(H), xi=1.0),
                "f_fou": KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta, xi=1.0),
                "k_fbm": KernelSpec(KernelKind.K_FBM, HurstParams(H))}
     vols = {"affine": affine_abs_vol(0.1, c1, b=0.5), "linear": linear_vol()}
     return VariationalProblem(
         kernel=kernels[kernel], vol=vols[vol], grid=grid or TimeGrid.uniform(12),
-        rho=rho, include_drift=drift, level=level, sense="=", constraint_node=node)
+        rho=rho, include_drift=drift, start=start, level=level, sense="=",
+        constraint_node=node)
 
 
-# sigma_tilde = |y| given as callables: a Tabulated vol, which keeps `_multistart`
+# sigma_tilde = |y| and = y given as callables: Tabulated vols, which keep `_multistart`
 TABULATED_ABS = VolFunction(kind="Tabulated", sigma_fn=np.abs, sigma_tilde_fn=np.abs)
+TABULATED_LINEAR = VolFunction(kind="Tabulated", sigma_fn=np.asarray, sigma_tilde_fn=np.asarray)
 
 
 def graded_grid(n, q):
@@ -345,6 +354,10 @@ class TestUnitScale:
         ("rho", dict(rho=0.3)),
         ("drift", dict(drift=True)),
         ("node", dict(node=9)),
+        # not key fields: one cached form serves every start, and the
+        # AffineAbs branch at -rho is the form of the problem at -rho
+        ("start", dict(start=(0.5, 1.0))),
+        ("rho sign", dict(rho=0.4)),
     ])
     def test_problems_differing_in_one_key_field(self, field, variant):
         base = dict(kernel="f_fou", c1=1.0)
@@ -355,14 +368,21 @@ class TestUnitScale:
             assert res.converged
 
     def test_results_do_not_alias_the_memo(self):
-        p = unit_scale_problem()
-        first = solve(p)
-        value, f, g = first.value, first.controls.f.copy(), first.controls.g.copy()
-        first.controls.f *= 3.0
-        first.controls.g[:] = 0.0
-        again = solve(p)
-        assert again.value == value
-        assert np.array_equal(again.controls.f, f) and np.array_equal(again.controls.g, g)
+        # from the start 0, a fixed nonzero start and a free one around 0
+        for start in ((0.0, 0.0), (1.0, 1.0), (-0.5, 1.0)):
+            p = unit_scale_problem(start=start)
+            first = solve(p)
+            assert first.iterations == 0
+            cached = [a for form in rates._form_cache.values() for a in form[:3]]
+            assert cached and not any(a.flags.writeable for a in cached)
+            out = (first.controls.f, first.controls.g, first.y_path, first.x_path)
+            assert not any(np.shares_memory(a, b) for a in out for b in cached)
+            value, f, g = first.value, first.controls.f.copy(), first.controls.g.copy()
+            first.controls.f *= 3.0
+            first.controls.g[:] = 0.0
+            again = solve(p)
+            assert again.value == value
+            assert np.array_equal(again.controls.f, f) and np.array_equal(again.controls.g, g)
 
     def test_shuffled_smalltime_sweep_equals_sorted(self):
         params = ModelParams(rho=-0.5, hurst=HurstParams(0.3), vol=affine_abs_vol(0.1, 1.0, b=0.5))
@@ -376,15 +396,21 @@ class TestUnitScale:
         assert sweeps[0] == sweeps[1]
 
     def test_sweeps_from_the_start_0_run_no_lbfgsb(self, monkeypatch):
+        # and a forward smile, whose start is free over an interval around 0
         def no_lbfgsb(*args, **kwargs):
             raise AssertionError("L-BFGS-B called")
 
-        monkeypatch.setattr(rates, "minimize", no_lbfgsb)
+        monkeypatch.setattr(scipy.optimize, "minimize", no_lbfgsb)
         grid = TimeGrid.uniform(16)
         affine = ModelParams(rho=-0.5, hurst=HurstParams(0.3), vol=affine_abs_vol(0.1, 1.0, b=0.5))
         linear = ModelParams(rho=-0.3, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
         results = [smalltime_rate(affine, k, 0.5, grid=grid) for k in (0.1, -0.2, 0.3, -0.1)]
         results += [tail_rate(linear, y, 0.75, grid=grid) for y in (0.5, 1.0, 2.0)]
+        forward = [forward_smile(affine, 0.2, 0.5, k, grid=grid) for k in (0.2, -0.1, 0.4)]
+        for smile in forward:
+            lo, hi = smile.metadata["support"]
+            assert lo < 0.0 < hi and lo <= smile.rate_used.start_used <= hi
+        results += [smile.rate_used for smile in forward]
         for res in results:
             assert res.iterations == 0
             assert res.converged and 0.0 < res.value < math.inf
@@ -393,10 +419,8 @@ class TestUnitScale:
     @pytest.mark.parametrize("change", [
         dict(vol=constant_vol(0.7)),
         dict(vol=TABULATED_ABS),
-        dict(start=(0.0, 0.3)),
-        dict(start=(0.2, 0.2)),
         dict(level=0.0),
-    ], ids=["constant", "tabulated", "free_start", "nonzero_start", "zero_level"])
+    ], ids=["constant", "tabulated", "zero_level"])
     def test_other_problems_take_the_direct_path(self, change):
         p = dataclasses.replace(unit_scale_problem(), **change)
         res = solve(p)
@@ -406,6 +430,122 @@ class TestUnitScale:
         res = solve(unit_scale_problem(c1=0.0, level=-2.5))
         assert res.value == INFEASIBLE and not res.converged
         assert res.level_used == -2.5
+
+
+def start_interval(kind, sign, a, b):
+    """A fixed start, or an interval on one side of 0, straddling 0 or
+    touching 0, from 0 < a <= b."""
+    return {"fixed": (sign * a, sign * a),
+            "one_side": tuple(sorted((sign * a, sign * b))),
+            "straddling": (-a, b),
+            "touching": tuple(sorted((0.0, sign * b)))}[kind]
+
+
+def solve_and_route(p):
+    """`solve(p)`, and whether it took the secular route (no `_multistart`)."""
+    with mock.patch.object(rates, "_multistart", wraps=rates._multistart) as fallback:
+        res = solve(p)
+    return res, not fallback.called
+
+
+class TestSecularStart:
+    """From a nonzero start, fixed or free, x_T is z^T Q z + u b^T z + u^2 d0
+    on each one-signed branch, and `_solve_equality` solves it by the secular
+    equation in the multiplier of the constraint, with no L-BFGS-B run."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(H=st.floats(0.1, 0.9), rho=st.floats(-0.9, 0.9), c1=st.floats(0.2, 2.0),
+           vol=st.sampled_from(["affine", "linear"]), drift=st.booleans(),
+           kernel=st.sampled_from(["g_zero", "f_fou", "k_fbm"]), node=st.integers(2, 11),
+           kind=st.sampled_from(["fixed", "one_side", "straddling", "touching"]),
+           side=st.sampled_from([1.0, -1.0]), ends=st.lists(st.floats(0.05, 1.0), min_size=2,
+                                                              max_size=2),
+           magnitude=st.floats(0.05, 5.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_secular_route_equals_the_multistart(self, H, rho, c1, vol, drift, kernel, node,
+                                                 kind, side, ends, magnitude, sign):
+        start = start_interval(kind, side, *sorted(ends))
+        p = unit_scale_problem(H=H, kernel=kernel, vol=vol, c1=c1, rho=rho, drift=drift,
+                               node=node, start=start, level=sign * magnitude)
+        res, secular = solve_and_route(p)
+        direct = rates._multistart(p, p.level)
+        assert res.converged and direct.converged
+        # the zero control meets the level where u^2 d0 = level: both rates are 0
+        assert res.value == pytest.approx(direct.value, rel=1e-9, abs=1e-12)
+        assert res.x_path[node] == pytest.approx(p.level, abs=1e-6)
+        assert start[0] <= res.start_used <= start[1]
+        if secular:
+            assert res.iterations == 0
+        if vol == "linear":
+            # x_T is the quadratic form on every path: nothing to decline
+            assert secular
+        else:
+            # c1 |y| is even, so (f, u, rho) -> (-f, -u, -rho) maps the problem
+            # onto itself, and the two AffineAbs branches onto each other
+            mirror = dataclasses.replace(p, rho=-rho, start=(-start[1], -start[0]))
+            res_m, secular_m = solve_and_route(mirror)
+            assert secular_m == secular
+            if secular:
+                assert res_m.value == pytest.approx(res.value, rel=1e-12)
+                assert res_m.start_used == -res.start_used
+
+    def test_hard_case_matches_brute_force_or_declines(self):
+        # Q = diag(lam), bhat = 0 on the top eigenvector: phi(mu) stays finite
+        # at the pole 1 / (2 lam_max), so it reaches no level above phi there
+        lam = np.array([-1.0, 0.5, 2.0])
+        bhat = np.array([0.8, 0.6, 0.0])
+        rng = np.random.default_rng(41)
+        # brute force: z = sqrt(E) (unit vector) for E on a fine scan
+        dirs = rng.standard_normal((200_000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        declined = 0
+        for level, u in ((0.05, 1.0), (0.2, 1.0), (3.0, 1.0), (-0.4, 0.5)):
+            root = rates._secular_start(lam, bhat, 0.0, level, u, u)
+            if root is None:
+                declined += 1
+                continue
+            mu, r, value = root
+            assert r == u
+            z = mu * u * bhat / (1.0 - 2.0 * mu * lam)
+            assert z @ (lam * z) + u * bhat @ z == pytest.approx(level, rel=1e-10)
+            assert 0.5 * z @ z == pytest.approx(value, rel=1e-10)
+            # least energy on the quadric along each direction
+            qa, qb = dirs**2 @ lam, u * dirs @ bhat
+            disc = qb * qb + 4.0 * qa * level
+            t = np.where(disc >= 0.0, (-qb + np.sign(qa) * np.sqrt(np.abs(disc))) / (2.0 * qa), np.inf)
+            t = np.concatenate([t, np.where(disc >= 0.0, (-qb - np.sign(qa) * np.sqrt(np.abs(disc)))
+                                            / (2.0 * qa), np.inf)])
+            brute = 0.5 * np.min(np.where(t > 0.0, t * t, np.inf))
+            assert value <= brute * (1.0 + 1e-12)
+            assert value == pytest.approx(brute, rel=1e-3)
+        assert declined == 1   # level 3 from u = 1 lies beyond phi at the pole
+
+    def test_a_declined_root_runs_the_multistart(self, monkeypatch):
+        p = unit_scale_problem(start=(1.0, 1.0))
+        assert solve(p).iterations == 0
+        monkeypatch.setattr(rates, "_secular_start", lambda *args, **kwargs: None)
+        res = solve(p)
+        assert res.iterations > 0
+        assert res.value == rates._multistart(p, p.level).value
+
+    def test_importing_and_sweeping_loads_no_scipy_optimize(self):
+        code = (
+            "import sys\n"
+            "import fracldp, fracldp.cli\n"
+            "assert 'scipy.optimize' not in sys.modules, 'on import'\n"
+            "p = fracldp.ModelParams(rho=-0.5, hurst=fracldp.HurstParams(0.3),\n"
+            "                        vol=fracldp.affine_abs_vol(0.1, 1.0, b=0.5))\n"
+            "grid = fracldp.TimeGrid.uniform(16)\n"
+            "for k in (0.1, -0.2):\n"
+            "    fracldp.smalltime_smile(p, k, 0.5, grid=grid)\n"
+            "    fracldp.forward_smile(p, 0.2, 0.5, k, grid=grid)\n"
+            "fracldp.tail_smile_slope(p, 1.0, grid=grid)\n"
+            "assert 'scipy.optimize' not in sys.modules, 'after the sweep'\n"
+        )
+        src = str(Path(rates.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.slow
