@@ -372,8 +372,7 @@ def _bracketed_newton(F, a: float, b: float) -> float:
     return x
 
 
-def _secular_start(lam, bhat, d0: float, level: float, r_lo: float, r_hi: float,
-                   floor: float = 0.0):
+def _secular_start(lam, bhat, d0: float, level: float, r_lo: float, r_hi: float):
     """Least energy of z^T Q z + u b^T z + u^2 d0 = level over |u| = r in
     [r_lo, r_hi], 0 < r_hi, given Q = V diag(lam) V^T and bhat = V^T b.
 
@@ -392,12 +391,9 @@ def _secular_start(lam, bhat, d0: float, level: float, r_lo: float, r_hi: float,
     increases (G' = level phi~), so R has one minimum: at the root of G, or
     at the end of the mu interval that the radii map to.
 
-    Returns (mu, r, bound): the minimiser, with r exactly r_lo or r_hi at
-    an end, and a lower bound of min r^2 max(e, floor) over the radii, the
-    least energy of a path that also needs energy floor * u^2
-    (`_solve_equality`); at floor 0 the bound is the minimiser's energy.
-    None when a root is not found to `_ROOT_TOL`: the "hard case" (bhat
-    orthogonal to the extreme eigenvector) or a one-signed Q.
+    Returns (mu, r, energy), r exactly r_lo or r_hi at an end, or None when
+    a root is not found to `_ROOT_TOL`: the "hard case" (bhat orthogonal to
+    the extreme eigenvector) or a one-signed Q.
     """
     b2 = bhat * bhat
     if lam[-1] <= 0.0 or lam[0] >= 0.0:
@@ -449,22 +445,59 @@ def _secular_start(lam, bhat, d0: float, level: float, r_lo: float, r_hi: float,
             if abs(mu * (phi + d0) - e) > _ROOT_TOL * (abs(mu * (phi + d0)) + e):
                 return None
             r = min(max(math.sqrt(level / (phi + d0)), r_lo), r_hi)
-    e = sums(mu)[2]
-    if floor <= e or mu == mu_b:
-        return mu, r, r * r * max(e, floor)
-    # e < floor at R's minimum: r^2 max(e, floor) is least where e = floor,
-    # on the way to the r_lo end, along which e grows to e(mu_b)
-    if not pole and sums(mu_b)[2] < floor:
-        return mu, r, r_lo * r_lo * floor
-    d = 1.0 if mu_b > mu else -1.0
+    return mu, r, r * r * sums(mu)[2]
 
-    def E(x):
-        _, dphi, e = sums(x)
-        return d * (e - floor), x - (e - floor) / (x * dphi) if x else math.nan
 
-    x = _bracketed_newton(E, mu, mu_b) if d > 0 else _bracketed_newton(E, mu_b, mu)
-    phi, _, e = sums(x)
-    return mu, r, level / (phi + d0) * max(e, floor)
+def _crossing_bound(problem: VariationalProblem, A: np.ndarray, hom: np.ndarray, c: float,
+                    level: float, r_lo: float, r_hi: float) -> float:
+    """Lower bound of the energy of an AffineAbs path (sigma_tilde = c |y|)
+    from a start u with |u| in [r_lo, r_hi] that meets x_terminal = level
+    while y takes, at some node up to the constraint node, the sign
+    opposite to u's: every path that is not on u's own one-signed branch.
+
+    Two bounds hold for such a path, with s = sqrt(2 energy), h = |hom|_wm
+    and a = |W_m^{1/2} A W^{-1/2}|_F >= the operator norm of f -> A f:
+    (i) y_i = u hom_i + (A f)_i of the other sign at node i needs
+    energy >= u^2 hom_i^2 / (2 sum_k A_ik^2 / w_k) >= floor u^2, floor the
+    least of these over the nodes; (ii) by Cauchy-Schwarz
+    |y|_wm <= |u| h + a s and |rho f + rho_bar g|_wm <= s, so
+    |level| <= c s t + 1/2 c^2 t^2 1_drift 1_{level < 0}, t = |u| h + a s,
+    which bounds s from below. The first grows with |u| and the second
+    falls, so the least over |u| of their maximum is found by bisection at
+    their crossing, and a bracket's ends give a bound that holds on it.
+    """
+    j = problem.node_index
+    w = problem.grid.w
+    rows = (A[: j + 1] ** 2) @ (1.0 / w)
+    floor = 0.5 * float(np.min(hom[: j + 1] ** 2 / rows))
+    h = math.sqrt(float(w[: j + 1] @ (hom[: j + 1] ** 2)))
+    a = math.sqrt(float(w[: j + 1] @ rows))
+    half_drift = 0.5 * c * c if problem.include_drift and level < 0 else 0.0
+
+    def cauchy_schwarz(r):
+        # alpha s^2 + beta s + gamma = 0, the least s >= 0 meeting the bound
+        alpha = c * a + half_drift * a * a
+        beta = c * r * h + 2.0 * half_drift * r * h * a
+        gamma = half_drift * r * r * h * h - abs(level)
+        if gamma >= 0.0:
+            return 0.0
+        s = 2.0 * -gamma / (beta + math.sqrt(beta * beta - 4.0 * alpha * gamma))
+        return 0.5 * s * s
+
+    lo, hi = r_lo, r_hi
+    if floor * lo * lo >= cauchy_schwarz(lo):
+        return floor * lo * lo
+    if floor * hi * hi <= cauchy_schwarz(hi):
+        return cauchy_schwarz(hi)
+    for _ in range(_NEWTON_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if floor * mid * mid < cauchy_schwarz(mid):
+            lo = mid
+        else:
+            hi = mid
+    return max(floor * lo * lo, cauchy_schwarz(hi))
 
 
 def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
@@ -490,15 +523,17 @@ def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
 
     Each candidate is checked at l under the problem's own vol by
     `_check_run` (feasibility, KKT residual, `converged`), and the feasible
-    one of least energy wins. A candidate that fails the check (its y
-    changes sign) still bounds its branch and sign of u from below: by its
-    energy, and where u pulls y to the wrong sign (branch times the sign of
-    u < 0) also by u^2 max_i hom_i^2 / (2 sum_k A_ik^2 / w_k), the energy f
-    needs to bring y at node i back to 0. If such a bound is below the
-    winner's energy, the problem runs `_multistart`; so do Constant and
-    Tabulated vols, l = 0, a root that `_secular_start` declines and a
-    problem with no feasible candidate (c1 = 0). Paths on which y changes
-    sign are not covered; the property tests compare this route with
+    one of least energy wins. It must not exceed a lower bound of any path
+    it does not cover, or the problem runs `_multistart`. For a Linear vol
+    the form holds on every path, so the candidate is exact. For AffineAbs
+    from a nonzero start, the branch on u's side of 0 is exact when its
+    candidate passes the check and is bounded by the candidate's energy
+    when it does not; every other path (the other branch, and paths on
+    which y changes sign) is bounded by `_crossing_bound`. From the start 0
+    a failed candidate bounds its branch, and paths on which y changes sign
+    are not covered (the property tests compare this with `_multistart`).
+    Constant and Tabulated vols, l = 0, a root that `_secular_start`
+    declines and a problem with no feasible candidate (c1 = 0) also run
     `_multistart`. No L-BFGS-B runs here, so `iterations` is 0.
     """
     vol = problem.vol
@@ -518,9 +553,11 @@ def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
     else:
         arms = [(1.0, max(lo, 0.0), hi)] if hi > 0 else []
         arms += [(-1.0, max(-hi, 0.0), -lo)] if lo < 0 else []
-    # per unit u^2, the f energy that brings y at node i from u hom_i to 0
-    floor = 0.5 * float(np.max(hom[: j + 1] ** 2 / ((A[: j + 1] ** 2) @ (1.0 / grid.w))))
     best, bound = None, math.inf
+    if not linear:
+        for sign, r_lo, r_hi in arms:
+            if r_hi > 0.0:
+                bound = min(bound, _crossing_bound(problem, A, hom, c, level, r_lo, r_hi))
     for branch in (1.0,) if linear else (1.0, -1.0):
         lam, V, bhat, d0 = _quadratic_form(problem, c, branch * problem.rho)
         for sign, r_lo, r_hi in arms:
@@ -533,9 +570,7 @@ def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
                 if A[j] @ (s * z[:n]) < 0.0:
                     z = -z
             else:
-                wrong_sign = not linear and branch * sign < 0.0
-                root = _secular_start(lam, bhat, d0, level, r_lo, r_hi,
-                                      floor if wrong_sign else 0.0)
+                root = _secular_start(lam, bhat, d0, level, r_lo, r_hi)
                 if root is None:
                     return _multistart(problem, level)
                 mu, r, low = root
@@ -544,7 +579,11 @@ def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
             f, g = branch * s * z[:n], s * z[n:]
             energy, res, kkt, kkt_ok = _check_run(problem, A, hom, f, g, u, level)
             if res > FEAS_TOL:
-                bound = min(bound, low)
+                # a failed candidate off u's own branch is covered by the
+                # crossing bound; on it (or from the start 0) it bounds the
+                # branch by its energy
+                if branch * sign > 0.0 or r_hi == 0.0:
+                    bound = min(bound, low)
             elif best is None or energy < best[0]:
                 best = (energy, f, g, u, kkt, kkt_ok)
     if best is None or bound < best[0] * (1.0 - _BOUND_TOL):

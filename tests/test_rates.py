@@ -356,7 +356,7 @@ class TestUnitScale:
         ("node", dict(node=9)),
         # not key fields: one cached form serves every start, and the
         # AffineAbs branch at -rho is the form of the problem at -rho
-        ("start", dict(start=(0.5, 1.0))),
+        ("start", dict(start=(1.0, 2.0))),
         ("rho sign", dict(rho=0.4)),
     ])
     def test_problems_differing_in_one_key_field(self, field, variant):
@@ -369,7 +369,7 @@ class TestUnitScale:
 
     def test_results_do_not_alias_the_memo(self):
         # from the start 0, a fixed nonzero start and a free one around 0
-        for start in ((0.0, 0.0), (1.0, 1.0), (-0.5, 1.0)):
+        for start in ((0.0, 0.0), (1.0, 1.0), (-1.0, 2.0)):
             p = unit_scale_problem(start=start)
             first = solve(p)
             assert first.iterations == 0
@@ -434,7 +434,9 @@ class TestUnitScale:
 
 def start_interval(kind, sign, a, b):
     """A fixed start, or an interval on one side of 0, straddling 0 or
-    touching 0, from 0 < a <= b."""
+    touching 0, from 0 < a <= b. (Starts reach |u| = 3: the route certifies
+    an AffineAbs problem when u is large against the level, as in a
+    forward smile, and hands the others to `_multistart`.)"""
     return {"fixed": (sign * a, sign * a),
             "one_side": tuple(sorted((sign * a, sign * b))),
             "straddling": (-a, b),
@@ -458,9 +460,9 @@ class TestSecularStart:
            vol=st.sampled_from(["affine", "linear"]), drift=st.booleans(),
            kernel=st.sampled_from(["g_zero", "f_fou", "k_fbm"]), node=st.integers(2, 11),
            kind=st.sampled_from(["fixed", "one_side", "straddling", "touching"]),
-           side=st.sampled_from([1.0, -1.0]), ends=st.lists(st.floats(0.05, 1.0), min_size=2,
+           side=st.sampled_from([1.0, -1.0]), ends=st.lists(st.floats(0.05, 3.0), min_size=2,
                                                               max_size=2),
-           magnitude=st.floats(0.05, 5.0), sign=st.sampled_from([1.0, -1.0]))
+           magnitude=st.floats(0.05, 2.0), sign=st.sampled_from([1.0, -1.0]))
     def test_secular_route_equals_the_multistart(self, H, rho, c1, vol, drift, kernel, node,
                                                  kind, side, ends, magnitude, sign):
         start = start_interval(kind, side, *sorted(ends))
@@ -518,6 +520,18 @@ class TestSecularStart:
             assert value <= brute * (1.0 + 1e-12)
             assert value == pytest.approx(brute, rel=1e-3)
         assert declined == 1   # level 3 from u = 1 lies beyond phi at the pole
+
+    def test_a_path_on_which_y_changes_sign_is_not_missed(self):
+        # from u = -0.38 the least-energy path has y < 0 at the first three
+        # nodes and y > 0 after them; the cheaper one-signed branch costs
+        # about 10.27, the multistart finds about 8.26
+        p = unit_scale_problem(H=0.85, kernel="f_fou", c1=1.18, rho=-0.59, drift=True,
+                               grid=TimeGrid.uniform(32), node=23, start=(-0.38, -0.38),
+                               level=-3.55)
+        res = solve(p)
+        direct = rates._multistart(p, p.level)
+        assert direct.value < 9.0 and np.any(direct.y_path[:24] > 0.0)
+        assert res.value == pytest.approx(direct.value, rel=1e-9)
 
     def test_a_declined_root_runs_the_multistart(self, monkeypatch):
         p = unit_scale_problem(start=(1.0, 1.0))
