@@ -555,7 +555,7 @@ def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
         arms += [(-1.0, max(-hi, 0.0), -lo)] if lo < 0 else []
     best, bound = None, math.inf
     if not linear:
-        for sign, r_lo, r_hi in arms:
+        for _, r_lo, r_hi in arms:
             if r_hi > 0.0:
                 bound = min(bound, _crossing_bound(problem, A, hom, c, level, r_lo, r_hi))
     for branch in (1.0,) if linear else (1.0, -1.0):
