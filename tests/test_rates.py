@@ -419,8 +419,11 @@ class TestUnitScale:
     @pytest.mark.parametrize("change", [
         dict(vol=constant_vol(0.7)),
         dict(vol=TABULATED_ABS),
+        # an AffineAbs start small against the level: the route declines
+        dict(start=(0.0, 0.3)),
+        dict(start=(0.2, 0.2)),
         dict(level=0.0),
-    ], ids=["constant", "tabulated", "zero_level"])
+    ], ids=["constant", "tabulated", "free_start", "nonzero_start", "zero_level"])
     def test_other_problems_take_the_direct_path(self, change):
         p = dataclasses.replace(unit_scale_problem(), **change)
         res = solve(p)
