@@ -461,7 +461,7 @@ def _crossing_bound(problem: VariationalProblem, A: np.ndarray, hom: np.ndarray,
     energy >= u^2 hom_i^2 / (2 sum_k A_ik^2 / w_k) >= floor u^2, floor the
     least of these over the nodes; (ii) by Cauchy-Schwarz
     |y|_wm <= |u| h + a s and |rho f + rho_bar g|_wm <= s, so
-    |level| <= c s t + 1/2 c^2 t^2 1_drift 1_{level < 0}, t = |u| h + a s,
+    |level| <= |c| s t + 1/2 c^2 t^2 1_drift 1_{level < 0}, t = |u| h + a s,
     which bounds s from below. The first grows with |u| and the second
     falls, so the least over |u| of their maximum is found by bisection at
     their crossing, and a bracket's ends give a bound that holds on it.
@@ -476,8 +476,8 @@ def _crossing_bound(problem: VariationalProblem, A: np.ndarray, hom: np.ndarray,
 
     def cauchy_schwarz(r):
         # alpha s^2 + beta s + gamma = 0, the least s >= 0 meeting the bound
-        alpha = c * a + half_drift * a * a
-        beta = c * r * h + 2.0 * half_drift * r * h * a
+        alpha = abs(c) * a + half_drift * a * a
+        beta = abs(c) * r * h + 2.0 * half_drift * r * h * a
         gamma = half_drift * r * r * h * h - abs(level)
         if gamma >= 0.0:
             return 0.0
@@ -532,17 +532,17 @@ def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
     which y changes sign) is bounded by `_crossing_bound`. From the start 0
     a failed candidate bounds its branch, and paths on which y changes sign
     are not covered (the property tests compare this with `_multistart`).
-    Constant and Tabulated vols, l = 0, a root that `_secular_start`
-    declines and a problem with no feasible candidate (c1 = 0) also run
-    `_multistart`. No L-BFGS-B runs here, so `iterations` is 0.
+    Constant and Tabulated vols, l = 0, c1 = 0 (sigma_tilde vanishes) and a
+    root that `_secular_start` declines also run `_multistart`. No L-BFGS-B runs here, so `iterations` is 0.
     """
     vol = problem.vol
     linear = vol.kind is VolKind.LINEAR
-    if level == 0.0 or not (linear or vol.kind is VolKind.AFFINE_ABS):
+    c = 1.0 if linear else vol.c1
+    # c1 = 0: sigma_tilde vanishes, Q and b are 0 and no candidate exists
+    if level == 0.0 or c == 0.0 or not (linear or vol.kind is VolKind.AFFINE_ABS):
         return _multistart(problem, level)
     grid = problem.grid
     n, j = grid.n, problem.node_index
-    c = 1.0 if linear else vol.c1
     A = operator_matrix(problem.kernel, grid)
     hom = problem.homogeneous_factor()
     s = 1.0 / np.sqrt(grid.w)
@@ -579,10 +579,11 @@ def _solve_equality(problem: VariationalProblem, level: float) -> RateResult:
             f, g = branch * s * z[:n], s * z[n:]
             energy, res, kkt, kkt_ok = _check_run(problem, A, hom, f, g, u, level)
             if res > FEAS_TOL:
-                # a failed candidate off u's own branch is covered by the
-                # crossing bound; on it (or from the start 0) it bounds the
-                # branch by its energy
-                if branch * sign > 0.0 or r_hi == 0.0:
+                # a failed AffineAbs candidate off u's own branch is covered
+                # by the crossing bound; on it, from the start 0, or for a
+                # Linear vol (whose form is exact on every path) it bounds
+                # the branch by its energy
+                if linear or branch * sign > 0.0 or r_hi == 0.0:
                     bound = min(bound, low)
             elif best is None or energy < best[0]:
                 best = (energy, f, g, u, kkt, kkt_ok)

@@ -326,7 +326,8 @@ class TestUnitScale:
     no L-BFGS-B run."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(H=st.floats(0.1, 0.9), rho=st.floats(-0.9, 0.9), c1=st.floats(0.2, 2.0),
+    @given(H=st.floats(0.1, 0.9), rho=st.floats(-0.9, 0.9),
+           c1=st.one_of(st.floats(0.2, 2.0), st.floats(-2.0, -0.2)),
            vol=st.sampled_from(["affine", "linear"]), drift=st.booleans(),
            kernel=st.sampled_from(["g_zero", "f_fou", "k_fbm"]), node=st.integers(2, 9),
            q=st.sampled_from([1.0, 1.5, 3.0]),
@@ -430,9 +431,11 @@ class TestUnitScale:
         assert res.value == rates._multistart(p, p.level).value
 
     def test_vanishing_vol_is_infeasible(self):
-        res = solve(unit_scale_problem(c1=0.0, level=-2.5))
-        assert res.value == INFEASIBLE and not res.converged
-        assert res.level_used == -2.5
+        # from the start 0, a fixed nonzero start and a free one
+        for start in ((0.0, 0.0), (2.0, 2.0), (-1.0, 3.0)):
+            res = solve(unit_scale_problem(c1=0.0, level=-2.5, start=start))
+            assert res.value == INFEASIBLE and not res.converged
+            assert res.level_used == -2.5
 
 
 def start_interval(kind, sign, a, b):
@@ -459,7 +462,8 @@ class TestSecularStart:
     equation in the multiplier of the constraint, with no L-BFGS-B run."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(H=st.floats(0.1, 0.9), rho=st.floats(-0.9, 0.9), c1=st.floats(0.2, 2.0),
+    @given(H=st.floats(0.1, 0.9), rho=st.floats(-0.9, 0.9),
+           c1=st.one_of(st.floats(0.2, 2.0), st.floats(-2.0, -0.2)),
            vol=st.sampled_from(["affine", "linear"]), drift=st.booleans(),
            kernel=st.sampled_from(["g_zero", "f_fou", "k_fbm"]), node=st.integers(2, 11),
            kind=st.sampled_from(["fixed", "one_side", "straddling", "touching"]),
@@ -491,7 +495,10 @@ class TestSecularStart:
             assert secular_m == secular
             if secular:
                 assert res_m.value == pytest.approx(res.value, rel=1e-12)
-                assert res_m.start_used == -res.start_used
+                # at rho = 0 with a start interval symmetric about 0 the mirror
+                # is the problem itself, whose starts u and -u tie
+                if (rho, start) != (-rho, (-start[1], -start[0])):
+                    assert res_m.start_used == -res.start_used
 
     def test_hard_case_matches_brute_force_or_declines(self):
         # Q = diag(lam), bhat = 0 on the top eigenvector: phi(mu) stays finite
@@ -535,6 +542,24 @@ class TestSecularStart:
         direct = rates._multistart(p, p.level)
         assert direct.value < 9.0 and np.any(direct.y_path[:24] > 0.0)
         assert res.value == pytest.approx(direct.value, rel=1e-9)
+
+    def test_a_failed_linear_candidate_runs_the_multistart(self):
+        # the form is exact on every path of a Linear vol, so a candidate that
+        # fails its check bounds its arm, on either side of 0; failing the
+        # winning arm leaves a bound below the other arm's energy
+        for start in ((-3.0, 1.0), (-1.0, 3.0)):
+            p = unit_scale_problem(vol="linear", start=start)
+            res, secular = solve_and_route(p)
+            assert secular
+            side = math.copysign(1.0, res.start_used)
+            check = rates._check_run
+
+            def fail_on_side(problem, A, hom, f, g, u, level):
+                energy, r, kkt, ok = check(problem, A, hom, f, g, u, level)
+                return energy, (math.inf if u * side > 0.0 else r), kkt, ok
+
+            with mock.patch.object(rates, "_check_run", fail_on_side):
+                assert not solve_and_route(p)[1]
 
     def test_a_declined_root_runs_the_multistart(self, monkeypatch):
         p = unit_scale_problem(start=(1.0, 1.0))
