@@ -123,15 +123,6 @@ class KernelSpec:
             return 1.0
         return self.xi
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "H": self.hurst.H,
-            "beta": self.beta,
-            "xi": self.xi,
-            "eps": self.eps,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "KernelSpec":
         return KernelSpec(

@@ -553,7 +553,7 @@ def _prepare(params, law, scheme, eps_ladder, grid, n_paths, seed, allow_coarse)
         raise DomainError("grid has fewer than 16 nodes; pass allow_coarse=True to override")
     for msg in scheme.check_b(params.hurst.H):
         warnings.warn(msg)
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
+    rng = make_rng(seed)
     theta = law.resolve(params).sample(n_paths, rng)
     points = [(*_scheme_coefficients(params, scheme, eps), _vol_coefficient(params, scheme, eps))
               for eps in eps_ladder]
@@ -886,7 +886,7 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
     eps_ladder = list(eps_ladder)
     k = len(eps_ladder)
     if params.hurst.H == 0.5:
-        rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
+        rng = make_rng(seed)
         ests = [tail_estimate(params, law, scheme, eps, grid, n_paths, child, level)
                 for eps, child in zip(eps_ladder, rng.spawn(k))]
         for est in ests:
@@ -1022,5 +1022,5 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
 
 def sample_initial(law: InitialLaw, n: int, seed, params: Optional[ModelParams] = None) -> np.ndarray:
     """n i.i.d. draws from the (resolved) initial law."""
-    rng = make_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = make_rng(seed)
     return law.resolve(params).sample(n, rng)

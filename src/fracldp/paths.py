@@ -54,12 +54,11 @@ class GaussianPathBatch:
         return (v.T @ v) / (self.n_paths - 1)
 
 
-def make_rng(seed, stream: int = 0) -> np.random.Generator:
-    """Generator for stream `stream` of the given seed."""
-    ss = np.random.SeedSequence(seed)
-    if stream == 0:
-        return np.random.default_rng(ss)
-    return np.random.default_rng(ss.spawn(stream + 1)[stream])
+def make_rng(seed) -> np.random.Generator:
+    """Generator for an integer seed; a Generator is returned unchanged."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def seed_label(seed) -> int:
@@ -99,7 +98,7 @@ def sample_fbm(H: float, grid: TimeGrid, n_paths: int, seed) -> GaussianPathBatc
     """Exact fBm paths on the grid via Cholesky of the covariance matrix."""
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    rng = make_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = make_rng(seed)
     L = _stable_cholesky(fbm_covariance_matrix(H, grid))
     Z = rng.standard_normal((n_paths, grid.n))
     return GaussianPathBatch(values=Z @ L.T, grid=grid, seed=seed_label(seed))
@@ -129,7 +128,7 @@ def sample_fou(
         raise DomainError("n_paths must be >= 1")
     construction = FouConstruction(construction)
     spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta, xi=xi if xi > 0 else 1.0)
-    rng = make_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = make_rng(seed)
     if xi == 0.0:
         vals = np.zeros((n_paths, grid.n))
     elif construction in (FouConstruction.COV_FACTOR, FouConstruction.KERNEL_DRIVEN):

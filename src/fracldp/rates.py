@@ -21,6 +21,7 @@ start) by multistart L-BFGS-B.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -76,6 +77,9 @@ class VariationalProblem:
             raise DomainError(f"unknown constraint sense {self.sense}")
         if not -1.0 < self.rho < 1.0:
             raise DomainError("rho must lie in (-1, 1)")
+        node = self.constraint_node
+        if node is not None and not (isinstance(node, numbers.Integral) and 0 <= node < self.grid.n):
+            raise DomainError(f"constraint_node must be an integer in [0, {self.grid.n}), got {node!r}")
 
     @property
     def rho_bar(self) -> float:

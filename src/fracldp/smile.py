@@ -10,6 +10,7 @@ small-time limits.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +26,6 @@ from .model import (
     SchemeKind,
     simulate,
 )
-from .paths import seed_label
 from .rates import RateResult, rate_with_random_start, smalltime_rate, tail_rate
 
 
@@ -144,17 +144,26 @@ class SmilePoint:
 
 def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: int,
              seed, b: Optional[float] = None, n_grid: int = 48,
-             n_boot: int = 200, method: str = "raw") -> list:
+             n_boot: Optional[int] = None, method: str = "raw") -> list:
     """Monte Carlo implied vols at maturity t for the given log-strikes.
 
     The maturity is reached by simulating the small-time rescaled system at
     eps = sqrt(t) on the unit horizon and undoing the rescaling of the
-    terminal log-price. method "raw" prices the terminal payoff directly;
-    method "conditional" averages the exact Gaussian conditional price given
-    the volatility path (valid only for rho = 0), which removes the payoff
-    noise without changing the estimand. Error bars are bootstrap standard
-    deviations of the reinverted vols.
+    terminal log-price. method "raw" prices the terminal payoff against the
+    forward mean(S_t); method "conditional" (rho = 0 only) averages the exact
+    Gaussian conditional price given the vol path, per unit forward. It takes
+    the first panel's vol from Y at t_1 where the raw Euler step uses Y at 0,
+    so the two estimands differ in that panel.
+
+    Error bars are by the delta method on the per-path values v (payoff or
+    conditional price): std(v - N(d1) S_t) / (sqrt(n_paths) vega) with
+    vega = F phi(d1) sqrt(t) at the inverted vol and ddof = 0; the
+    conditional forward is exactly 1, so it has no S_t term. `n_boot` is
+    ignored, with a DeprecationWarning.
     """
+    if n_boot is not None:
+        warnings.warn("mc_smile's n_boot is ignored: error bars are by the delta method",
+                      DeprecationWarning, stacklevel=2)
     if not 0.0 < t <= 1.0:
         raise DomainError("t must lie in (0, 1]")
     if method not in ("raw", "conditional"):
@@ -168,7 +177,6 @@ def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: i
     scheme = RescalingScheme(SchemeKind.SMALL_TIME, b=b)
     grid = TimeGrid.uniform(n_grid)
     xb, yb = simulate(params, law, scheme, eps, grid, n_paths, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([0xB00F, seed_label(seed)]))
     if method == "conditional":
         # integrated variance of the unrescaled log-price over [0, t]: the
         # rescaled noise coefficient is eps^{2H+b} s(Y) and the terminal
@@ -185,14 +193,13 @@ def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: i
     else:
         # X_t = t^{1/2 - H - b} X^eps_1
         s_t = np.exp(t ** (0.5 - H - b) * xb.values[:, -1])
-    # the conditional price is per unit forward; the raw one's forward is mean(S_t)
     fwd = 1.0 if s_t is None else float(np.mean(s_t))
     out = []
     for k in strikes:
         strike = math.exp(k)
         if s_t is None:
-            d1 = (-k + 0.5 * V) / sv
-            per_path = ndtr(d1) - strike * ndtr(d1 - sv)
+            d1_path = (-k + 0.5 * V) / sv
+            per_path = ndtr(d1_path) - strike * ndtr(d1_path - sv)
         else:
             per_path = np.maximum(s_t - strike, 0.0)
         price = float(np.mean(per_path))
@@ -200,14 +207,11 @@ def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: i
             out.append(SmilePoint(k=k, implied_vol=0.0, std_err=math.nan, price=price, censored=True))
             continue
         vol = bs_implied_vol(price, fwd, strike, t)
-        boots = []
-        for _ in range(n_boot):
-            idx = rng.integers(0, n_paths, n_paths)
-            pb = float(np.mean(per_path[idx]))
-            fb = 1.0 if s_t is None else float(np.mean(s_t[idx]))
-            if pb <= max(fb - strike, 0.0) or pb >= fb:
-                continue
-            boots.append(bs_implied_vol(pb, fb, strike, t))
-        se = float(np.std(boots)) if len(boots) > 1 else math.nan
+        # d vol = (d price - N(d1) d fwd) / vega
+        st = vol * math.sqrt(t)
+        d1 = (math.log(fwd / strike) + 0.5 * st * st) / st
+        vega = fwd * math.exp(-0.5 * d1 * d1) * math.sqrt(t / (2.0 * math.pi))
+        resid = per_path if s_t is None else per_path - ndtr(d1) * s_t
+        se = float(np.std(resid)) / (math.sqrt(n_paths) * vega)
         out.append(SmilePoint(k=k, implied_vol=vol, std_err=se, price=price))
     return out

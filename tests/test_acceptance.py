@@ -267,7 +267,7 @@ def test_criterion_9_smalltime_explosion_exponent(capsys):
         prices = []
         for j in range(chunks):
             pts = mc_smile(params, law, t, [k], n_chunk, seed=900 + 10 * i + j,
-                           method="conditional", n_grid=64, n_boot=0)
+                           method="conditional", n_grid=64)
             assert not pts[0].censored
             prices.append(pts[0].price)
         from fracldp import bs_implied_vol

@@ -132,12 +132,15 @@ class TestSampleFou:
 
 
 class TestRngStreams:
-    def test_streams_independent(self):
-        r0 = make_rng(9, stream=0).standard_normal(4)
-        r0b = make_rng(9, stream=0).standard_normal(4)
-        r1 = make_rng(9, stream=1).standard_normal(4)
-        assert np.array_equal(r0, r0b)
-        assert not np.array_equal(r0, r1)
+    def test_seed_is_reproducible(self):
+        r0 = make_rng(9).standard_normal(4)
+        assert np.array_equal(r0, make_rng(np.int64(9)).standard_normal(4))
+        assert np.array_equal(r0, np.random.default_rng(9).standard_normal(4))
+        assert not np.array_equal(r0, make_rng(10).standard_normal(4))
+
+    def test_generator_passes_through(self):
+        rng = np.random.default_rng(9)
+        assert make_rng(rng) is rng
 
 
 class TestStableCholesky:

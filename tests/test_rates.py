@@ -313,6 +313,16 @@ TABULATED_ABS = VolFunction(kind="Tabulated", sigma_fn=np.abs, sigma_tilde_fn=np
 TABULATED_LINEAR = VolFunction(kind="Tabulated", sigma_fn=np.asarray, sigma_tilde_fn=np.asarray)
 
 
+@pytest.mark.parametrize("vol", ["linear", "affine"])
+@pytest.mark.parametrize("node", [-1, 12, 2.5])
+def test_constraint_node_outside_the_grid_is_rejected(vol, node):
+    # unit_scale_problem has 12 nodes
+    with pytest.raises(DomainError, match="constraint_node"):
+        unit_scale_problem(vol=vol, node=node, start=(0.5, 1.0))
+    for ok in (0, np.int64(11), None):
+        unit_scale_problem(vol=vol, node=ok, start=(0.5, 1.0))
+
+
 def graded_grid(n, q):
     t = (np.arange(1, n + 1) / n) ** q
     return TimeGrid(tuple(t), tuple(np.diff(np.concatenate([[0.0], t]))))

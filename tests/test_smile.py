@@ -11,6 +11,7 @@ from fracldp import (
     HurstParams,
     ModelParams,
     TimeGrid,
+    affine_abs_vol,
     bs_call_price,
     bs_implied_vol,
     constant_vol,
@@ -183,25 +184,50 @@ class TestMcSmile:
         params = ModelParams(lam=0.0, beta=-1.0, xi=0.0, rho=0.0,
                              vol=constant_vol(c, b=0.0))
         pts = mc_smile(params, point_law(0.0), t, [-0.2, 0.0, 0.2], 100000,
-                       seed=21, b=0.0, n_grid=32, n_boot=60)
+                       seed=21, b=0.0, n_grid=32)
         for p in pts:
             assert not p.censored
             assert abs(p.implied_vol - c) <= max(3 * p.std_err, 5e-3)
 
     def test_numpy_integer_seed_gives_the_same_error_bars(self):
-        # the bootstrap stream is keyed on the seed's value, whatever its type
+        # the simulation's stream is keyed on the seed's value, whatever its
+        # type, and the error bars are a function of its draws
         params = ModelParams(lam=0.0, beta=-1.0, xi=1.0, rho=0.0, vol=linear_vol(b=0.5))
         args = (params, point_law(0.2), 0.25, [0.0, 0.1], 5000)
-        ref = mc_smile(*args, seed=7, n_grid=16, n_boot=20)
-        got = mc_smile(*args, seed=np.int64(7), n_grid=16, n_boot=20)
+        ref = mc_smile(*args, seed=7, n_grid=16)
+        got = mc_smile(*args, seed=np.int64(7), n_grid=16)
         assert [(p.implied_vol, p.std_err) for p in got] == [(p.implied_vol, p.std_err) for p in ref]
+
+    def test_n_boot_is_ignored_with_a_warning(self):
+        params = ModelParams(lam=0.0, beta=-1.0, xi=1.0, rho=0.0, vol=linear_vol(b=0.5))
+        args = (params, point_law(0.2), 0.25, [0.0, 0.1], 5000)
+        ref = mc_smile(*args, seed=7, n_grid=16)
+        with pytest.warns(DeprecationWarning, match="n_boot"):
+            got = mc_smile(*args, seed=7, n_grid=16, n_boot=2)
+        assert [(p.implied_vol, p.std_err) for p in got] == [(p.implied_vol, p.std_err) for p in ref]
+
+    @pytest.mark.parametrize("H, rho, law, method", [
+        (0.5, -0.5, point_law(0.1), "raw"),
+        (0.3, 0.0, uniform_law(0.1, 0.3), "conditional"),
+    ])
+    def test_std_err_is_honest(self, H, rho, law, method):
+        # the delta-method error bar against the spread of the implied vol
+        # over 40 seeds; the raw estimator's bar needs its forward term
+        params = ModelParams(rho=rho, hurst=HurstParams(H), vol=affine_abs_vol(0.2, 1.0, b=0.0))
+        ks = [-0.2, 0.0, 0.2]
+        runs = [mc_smile(params, law, 0.25, ks, 20_000, seed=s, method=method)
+                for s in range(40)]
+        for j in range(len(ks)):
+            assert not any(r[j].censored for r in runs)
+            spread = np.std([r[j].implied_vol for r in runs], ddof=1)
+            assert 0.7 <= spread / np.mean([r[j].std_err for r in runs]) <= 1.4
 
     def test_strike_order_preserved(self):
         params = ModelParams(lam=0.0, beta=-1.0, xi=0.0, rho=0.0,
                              vol=constant_vol(0.5, b=0.5))
         ks = [0.2, -0.1, 0.05]
         pts = mc_smile(params, point_law(0.0), 0.25, ks, 20000, seed=1,
-                       b=0.5, n_grid=32, n_boot=10)
+                       b=0.5, n_grid=32)
         assert [p.k for p in pts] == ks
 
     def test_conditional_matches_raw(self):
@@ -210,8 +236,8 @@ class TestMcSmile:
                              hurst=HurstParams(0.5), vol=linear_vol(b=0.5))
         law = point_law(0.0)
         t, ks = 0.25, [0.0, 0.1]
-        raw = mc_smile(params, law, t, ks, 150000, seed=5, n_grid=32, n_boot=60)
-        cond = mc_smile(params, law, t, ks, 150000, seed=6, n_grid=32, n_boot=60,
+        raw = mc_smile(params, law, t, ks, 150000, seed=5, n_grid=32)
+        cond = mc_smile(params, law, t, ks, 150000, seed=6, n_grid=32,
                         method="conditional")
         for pr, pc in zip(raw, cond):
             band = 3 * math.hypot(pr.std_err, pc.std_err)
@@ -227,6 +253,6 @@ class TestMcSmile:
         params = ModelParams(lam=0.0, beta=-1.0, xi=0.0, rho=0.0,
                              vol=constant_vol(0.2, b=0.5))
         pts = mc_smile(params, point_law(0.0), 0.04, [3.0], 5000, seed=2,
-                       b=0.5, n_grid=32, n_boot=5)
+                       b=0.5, n_grid=32)
         assert pts[0].censored
         assert pts[0].implied_vol == 0.0
