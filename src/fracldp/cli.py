@@ -131,7 +131,8 @@ CONFIG_SCHEMA = {
                 "b": _NUM,
             },
         },
-        "eps_ladder": {"type": "array", "items": _NUM, "minItems": 1},
+        "eps_ladder": {"type": "array", "items": {"type": "number", "minimum": 0},
+                       "minItems": 1},
         "level": _NUM,
         "n_paths": _POSINT,
         "kernel": {

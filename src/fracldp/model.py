@@ -446,7 +446,8 @@ _ROW_BLOCK = 2048
 # (numpy sends one row to gemv; OpenBLAS on AVX-512 does so up to 9 rows at
 # m = 128, and up to more at smaller m), so a remainder of fewer than
 # _TILE // 2 rows joins the last tile. One exception was measured: at
-# rho = 0 with m > 244 fine nodes, OpenBLAS forms a whole block's and a
+# rho = 0 with m > 244 fine nodes and a vol that is not Linear (a Linear
+# vol's moments are summed row by row), OpenBLAS forms a whole block's and a
 # tile's terminal (mean | var) with different kernels, and tail estimates
 # move in the last bits. This bounds the memory a tail estimate at H != 1/2
 # holds. 256 ran as fast as 512 and faster than 128 or whole blocks.
@@ -493,6 +494,27 @@ def _joint_bm_fbm_cholesky(H: float, t: np.ndarray, rho: float):
     L[n:, n:] = _stable_cholesky(fbm_covariance(H, t[:, None], t[None, :]) - U @ U.T)
     _joint_chol_cache[key] = L
     return L
+
+
+def _linear_vol_spectrum(MT, dtf, y_start, y_lam):
+    """SVD of the noise map of a Linear vol's quadratic form.
+
+    With a Linear vol, X_T given the vol path depends on it only through
+    V = sum_k dtf_k y_k^2, y_k the vol at the left end t_{k-1} of fine step k
+    (t_0 = 0). A row's left-endpoint Y is theta y_start + y_lam + B z (before
+    noise_scale), with z its m normals, MT the GEMM matrix of
+    `_simulate_general` and B = [0; MT[:, :m-1]^T]: Y at t = 0 has no noise.
+    With G = diag(sqrt(dtf)) B = U diag(s) W^T,
+        V = |theta alpha1 + alpha0 + s * (W^T z)|^2,
+    alpha1 = U^T (sqrt(dtf) y_start) and alpha0 = U^T (sqrt(dtf) y_lam).
+    Returns (s, alpha1, alpha0).
+    """
+    root = np.sqrt(dtf)
+    G = np.zeros_like(MT)
+    G[1:] = MT[:, :-1].T
+    G *= root[:, None]
+    U, s, _ = np.linalg.svd(G)
+    return s, U.T @ (root * y_start), U.T @ (root * y_lam)
 
 
 def simulate(
@@ -544,11 +566,19 @@ def simulate(
     return GaussianPathBatch(values=x, grid=grid, seed=s), GaussianPathBatch(values=y, grid=grid, seed=s)
 
 
+def _check_eps(eps_ladder):
+    # a negative eps would make eps ** (-2b) and the scheme's powers complex
+    for eps in eps_ladder:
+        if not (math.isfinite(eps) and eps >= 0.0):
+            raise DomainError(f"eps must be finite and nonnegative, got {eps}")
+
+
 def _prepare(params, law, scheme, eps_ladder, grid, n_paths, seed, allow_coarse):
     """Checks and set-up shared by simulate and the tail estimators. Returns
     the generator, Theta (its first draws) and, per eps of the ladder, the
     point (beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef,
     xnoise_coef, vol coefficient)."""
+    _check_eps(eps_ladder)
     if grid.n < 16 and not allow_coarse:
         raise DomainError("grid has fewer than 16 nodes; pass allow_coarse=True to override")
     for msg in scheme.check_b(params.hurst.H):
@@ -660,6 +690,16 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     (rows, m), and each point ends at each path's (mean | var), the exact
     conditional law N(mean, var) of X_T given its vol path.
 
+    rho = 0 with `terminal` and a Linear vol: (mean | var) =
+    (drift_coef V, xnoise_coef^2 V) with V = sum_k dtf_k y_k^2, and no GEMM
+    runs. Per point, one SVD of the vol's left-endpoint noise map (see
+    _linear_vol_spectrum) gives V = |theta alpha1 + alpha0 + s * W^T z|^2.
+    The route reads Z's rows in place of W^T z, which is again standard
+    normal: each path's V is another realisation with the same law, not the
+    GEMM route's V at the same draws. Per tile, V is expanded as
+    Z^2 s^2 + Z [2 s alpha1, 2 s alpha0] plus constants in theta, summed row
+    by row.
+
     A block runs as tiles of about _TILE rows (see there), each drawing its
     rows of Z from the block's stream in order, which gives the bits of one
     block-sized draw; every step above works on one tile at a time.
@@ -674,11 +714,13 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     Blocks run on up to _WORKERS threads, worker w taking blocks w,
     w + workers, ... and writing every step into arrays it allocates once
     (numpy's RNG fill, BLAS and ufuncs release the GIL): at rho = 0 with
-    `terminal`, Z, Y and the GEMM product of one tile and the block's
-    (mean | var), whatever the ladder's length. A point's GEMM product holds
-    its scaled noise and then, at rho != 0, its fine Euler steps. The worker
+    `terminal`, Z, Y (Z^2 on the Linear route) and the GEMM product of one
+    tile and the block's (mean | var), whatever the ladder's length. A
+    point's GEMM product holds its scaled noise and then, at rho != 0, its
+    fine Euler steps. The worker
     count does not change the result, nor, with the exception at _TILE, the
-    tile size. The sink, and a Tabulated vol's user callables, run on worker
+    tile size; the Linear route's sums are per row, so its exception does not
+    apply there. The sink, and a Tabulated vol's user callables, run on worker
     threads, concurrently.
     """
     H = params.hurst.H
@@ -707,15 +749,25 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
         # one normal per panel for X, none when the sink takes X_T's moments
         first = 0 if moments else nx
         width, LW = first + m, L[m:, m:]
+    # a Linear vol's (mean | var) from V in the SVD basis of its noise map
+    spectral = moments and params.vol.kind is VolKind.LINEAR
     consts = []
     for beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol in points:
         # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
         ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
+        MT = (_by_parts_matrix(t_fine, beta_eff) @ LW).T
+        if spectral:
+            s, a1, a0 = _linear_vol_spectrum(MT, dtf, start_scale * ebt[:-1],
+                                             lam_term_coef * (1.0 - ebt[:-1]))
+            s *= noise_scale
+            consts.append((s * s, np.vstack([2.0 * s * a1, 2.0 * s * a0]),
+                           a1 @ a1, 2.0 * a1 @ a0, a0 @ a0, drift_coef, xnoise_coef**2))
+            continue
         dw_coef = xnoise_coef * np.sqrt(dtf)
         drift = drift_coef * dtf
         MV = None if pathwise else np.hstack([drift[:, None] * P, (dw_coef * dw_coef)[:, None] * P])
-        consts.append(((_by_parts_matrix(t_fine, beta_eff) @ LW).T, start_scale * ebt,
-                       lam_term_coef * (1.0 - ebt), noise_scale, dw_coef, drift, MV, svol))
+        consts.append((MT, start_scale * ebt, lam_term_coef * (1.0 - ebt), noise_scale, dw_coef,
+                       drift, MV, svol))
     gather = np.searchsorted(t_fine, t_coarse) + 1
     nb = -(-n_paths // _ROW_BLOCK)
     streams = rng.spawn(nb)
@@ -725,8 +777,10 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
         B = min(n_paths, _ROW_BLOCK)
         R = min(B, _TILE + _TILE // 2)  # the most rows a tile holds
         Z_w = np.empty((R, width))
-        y_w = np.empty((R, m + 1))
-        f_w = np.empty((R, m))
+        # Y at t = 0 and the fine nodes, and the Y noise; on the spectral
+        # route Z^2, and V with Z's two linear terms
+        y_w = np.empty((R, m if spectral else m + 1))
+        f_w = np.empty((R, 3) if spectral else (R, m))
         t_w = np.empty((k, B, 2) if moments else (k, B)) if terminal else None
         # (mean | var) at rho = 0, the panel sums dx @ P otherwise
         d_w = None if moments else np.empty((R, nx if pathwise else 2 * nx))
@@ -740,6 +794,20 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
                 r, rows = thi - tlo, slice(tlo - lo, thi - lo)
                 Z, yb = Z_w[:r], y_w[:r]
                 streams[b].standard_normal(out=Z)
+                if spectral:
+                    th, Z2, f = theta[tlo:thi], np.multiply(Z, Z, out=yb), f_w[:r]
+                    # per-row reductions (einsum, not BLAS): a row's bits do
+                    # not depend on the tile's row count
+                    for i, (s2, C, c11, c10, c00, drift_coef, var_coef) in enumerate(consts):
+                        np.einsum("ij,kj->ik", Z, C, out=f[:, 1:])
+                        # V = |theta alpha1 + alpha0 + s z|^2, expanded in z
+                        V = np.einsum("ij,j->i", Z2, s2, out=f[:, 0])
+                        V += f[:, 2] + c00
+                        V += th * (f[:, 1] + c10 + th * c11)
+                        np.maximum(V, 0.0, out=V)  # rounding of a V near 0
+                        np.multiply(V, drift_coef, out=t_w[i, rows, 0])
+                        np.multiply(V, var_coef, out=t_w[i, rows, 1])
+                    continue
                 for i, (MT, y_start, y_lam, noise_scale, dw_coef, drift, MV, svol) in enumerate(consts):
                     # the point's Y noise, then (rho != 0) its fine Euler steps
                     f = np.matmul(Z[:, first:], MT, out=f_w[:r])
@@ -868,7 +936,9 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
       vol path, X_T is exactly N(mean, var), mean = sum_k drift_k s_k^2 and
       var = sum_k dw_coef_k^2 s_k^2 over the fine steps, so a path draws
       only its m W^H normals. q has the expectation of the hit indicator and
-      never a larger variance.
+      never a larger variance. With a Linear vol, (mean, var) come from the
+      SVD basis of the vol's noise map (see `_simulate_general`): the same
+      law as the GEMM route's, but other values for a given seed.
     - rho != 0: 1{X_T >= L_i} on simulate's X_T for the same seed (crude),
       at eps = 1 for a unit-scale ladder. Given the vol path alone X_T is
       not Gaussian, because Wbar shares B with W^H, and the joint
@@ -884,6 +954,7 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
     cov is diagonal.
     """
     eps_ladder = list(eps_ladder)
+    _check_eps(eps_ladder)
     k = len(eps_ladder)
     if params.hurst.H == 0.5:
         rng = make_rng(seed)

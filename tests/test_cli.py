@@ -10,6 +10,7 @@ import pytest
 
 import fracldp
 from fracldp import (
+    DomainError,
     HurstParams,
     ModelParams,
     RescalingScheme,
@@ -17,6 +18,8 @@ from fracldp import (
     ldp_slope,
     linear_vol,
     point_law,
+    simulate,
+    tail_ladder,
 )
 from fracldp.cli import (
     EXIT_CONFIG,
@@ -149,6 +152,27 @@ class TestSimulateCommand:
         assert rows[0] == ["eps", "level", "p_hat", "std_err", "h_eps_log_p",
                            "n_paths", "seed"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("H", [0.3, 0.5])
+    def test_negative_eps_is_rejected(self, tmp_path, H):
+        # eps^(-2b) of a negative eps is complex: it once gave a p_hat in the
+        # thousands and exit 0 at H = 0.3, and a casting error (exit 1) at
+        # H = 1/2
+        cfg = dict(self.CFG, model={"H": H, "vol": {"kind": "Linear", "b": 0.75}},
+                   eps_ladder=[0.7, -0.5, 0.4], n_paths=1000)
+        out = tmp_path / "o"
+        assert run(write_config(tmp_path, cfg), out=str(out)) == EXIT_CONFIG
+        assert not (out / "simulate.csv").exists()
+        params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75))
+        args = (params, point_law(0.1), RescalingScheme("Tails", b=0.75))
+        grid = TimeGrid.uniform(16)
+        for eps in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                simulate(*args, eps, grid, 100, 3)
+            with pytest.raises(DomainError):
+                tail_ladder(*args, [0.7, eps, 0.4], grid, 100, 3, 0.5)
+            with pytest.raises(DomainError):
+                ldp_slope(*args, [0.7, eps, 0.4], 0.5, 100, 3, grid=grid)
 
     def test_reproducible_bytes(self, tmp_path):
         p = write_config(tmp_path, self.CFG)

@@ -562,15 +562,18 @@ class TestRoughSimulationLayout:
         # tiles, a non-divisor of the block and the default give the same bits.
         # A last block of 257 or 261 rows leaves a 1- or 5-row remainder after
         # 256- and 32-row tiles, which joins the last tile (BLAS rounds a
-        # GEMM of so few rows differently); a block of 1 row is one tile
+        # GEMM of so few rows differently); a block of 1 row is one tile.
+        # The 125-node grid has m = 252 fine nodes, past the m > 244 at which
+        # the GEMM route's (mean | var) depends on the tile at rho = 0
         params = ModelParams(lam=0.2, rho=rho, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
         law, grid = uniform_law(-0.5, 0.5), TimeGrid.uniform(16)
         tails, small = (RescalingScheme(kind, b=0.75)
                         for kind in (SchemeKind.TAILS, SchemeKind.SMALL_TIME))
 
         def run():
-            ladders = [tail_ladder(params, law, scheme, [0.7, 0.5], grid, n_paths, 9, 0.05)
-                       for scheme in (tails, small)]
+            ladders = [tail_ladder(params, law, scheme, [0.7, 0.5], g, n_paths, 9, 0.05)
+                       for scheme, g in ((tails, grid), (small, grid),
+                                         (tails, TimeGrid.uniform(125)))]
             x, y = simulate(params, law, small, 0.5, grid, n_paths, seed=9)
             return [[(e.p_hat, e.std_err) for e in ests] for ests, _ in ladders], \
                 [cov for _, cov in ladders], x.values, y.values
@@ -841,6 +844,71 @@ class TestTailLadder:
             assert 0.01 < p < 0.99
             assert abs(est.p_hat - p) <= 1e-12 * p
             assert abs(est.std_err - se) <= 1e-12 * se
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("kind", [SchemeKind.TAILS, SchemeKind.SMALL_TIME])
+    @pytest.mark.parametrize("law", [point_law(0.3), uniform_law(-0.5, 0.5)],
+                             ids=["Point", "Uniform"])
+    def test_linear_vol_v_is_the_gemm_form_path_by_path(self, H, kind, law):
+        # rho = 0, Linear vol: the (mean | var) of X_T are drift_coef V and
+        # xnoise_coef^2 V. V = sum_k dtf_k y_k^2 with y the left-endpoint vol
+        # y = theta y_start + y_lam + noise_scale B z, B = [0; MT[:, :m-1]^T].
+        # With G = diag(sqrt(dtf)) B = U diag(s) W^T, the route reads its
+        # draws Z as W^T z: its V at Z must be the GEMM form's V at z = W Z
+        params = ModelParams(lam=0.2, rho=0.0, hurst=HurstParams(H), vol=linear_vol(b=0.75))
+        scheme = RescalingScheme(kind, b=0.75)
+        grid, rows, seed, eps = TimeGrid.uniform(16), 300, 6, 0.6
+        rng, theta, points = model._prepare(params, law, scheme, [eps], grid, rows, seed, False)
+        out = []
+        model._simulate_general(params, grid, rows, rng, theta, points, model._N_FINE,
+                                lambda lo, hi, x, _: out.append(x[0].copy()), terminal=True)
+        (moments,) = out
+        beta_eff, start_scale, lam_term, noise_scale, drift_coef, xnoise_coef = \
+            model._scheme_coefficients(params, scheme, eps)
+        # a one-block run draws Theta, then Z from child stream 0
+        rng = make_rng(seed)
+        law.sample(rows, rng)
+        t_fine = np.linspace(0.0, 1.0, model._N_FINE + 1)[1:]
+        m = t_fine.size
+        Z = rng.spawn(1)[0].standard_normal((rows, m))
+        dtf = np.diff(t_fine, prepend=0.0)
+        LW = model._joint_bm_fbm_cholesky(H, t_fine, 0.0)[m:, m:]
+        MT = (_by_parts_matrix(t_fine, beta_eff) @ LW).T
+        G = np.zeros((m, m))
+        G[1:] = MT[:, :-1].T
+        G *= np.sqrt(dtf)[:, None]
+        U, s, Wt = np.linalg.svd(G)
+        ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine[:-1]]))
+        y_start, y_lam = start_scale * ebt, lam_term * (1.0 - ebt)
+        z = Z @ Wt  # W^T z = Z, row by row
+        y = theta[:, None] * y_start + y_lam
+        y[:, 1:] += noise_scale * (z @ MT)[:, :-1]
+        ref = (y * y) @ dtf
+        # the same V in the SVD basis
+        alpha = theta[:, None] * (U.T @ (np.sqrt(dtf) * y_start)) + U.T @ (np.sqrt(dtf) * y_lam)
+        assert np.allclose(np.sum((alpha + noise_scale * s * Z) ** 2, axis=1), ref,
+                           rtol=1e-12, atol=0)
+        assert np.max(np.abs(moments[:, 1] / xnoise_coef**2 - ref) / ref) <= 1e-12
+        assert np.max(np.abs(moments[:, 0] / drift_coef - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [SchemeKind.TAILS, SchemeKind.SMALL_TIME])
+    def test_linear_vol_ladder_has_the_gemm_law(self, monkeypatch, kind):
+        # a Tabulated identity vol has the Linear vol's law but takes the
+        # GEMM route: each p_hat within 4 combined SE, on independent seeds.
+        # 16 fine steps make an O(1 / m) slip, such as a right-endpoint vol,
+        # show: it moves these p_hats by 11 to 14 SE
+        monkeypatch.setattr(model, "_N_FINE", 16)
+        ident = model.VolFunction(kind="Tabulated", b=0.75, sigma_fn=lambda y: y,
+                                  sigma_tilde_fn=lambda y: y)
+        scheme = RescalingScheme(kind, b=0.75)
+        ladders = []
+        for vol, seed in ((linear_vol(b=0.75), 12), (ident, 13)):
+            params = ModelParams(lam=0.3, rho=0.0, hurst=HurstParams(0.3), vol=vol)
+            ladders.append(tail_ladder(params, uniform_law(0.2, 0.6), scheme, [0.7, 0.5],
+                                       TimeGrid.uniform(16), 100_000, seed, 0.3)[0])
+        for lin, gemm in zip(*ladders):
+            assert 0.01 < gemm.p_hat < 0.99
+            assert abs(lin.p_hat - gemm.p_hat) <= 4.0 * math.hypot(lin.std_err, gemm.std_err)
 
     @pytest.mark.parametrize("rho", [0.0, -0.4])
     def test_eps_zero_point_is_deterministic(self, rho):
