@@ -327,12 +327,11 @@ def _cmd_kernels(cfg: dict, outdir: str) -> int:
 def _cmd_simulate(cfg: dict, outdir: str) -> int:
     """simulate.csv: one row per eps of the ladder, with p_hat, the
     `tail_ladder` estimate of P(X^eps_T >= level); std_err, its standard
-    error (the conditional estimator's sample SE at H != 1/2 and rho = 0,
-    binomial otherwise); h_eps log p_hat (empty when p_hat = 0); n_paths and
-    seed. The points share the seed's draws at H != 1/2, and draw from one
-    child stream each at H = 1/2, as in `ldp_slope`. At H != 1/2 a Tails
-    ladder with a rescaling (non-Constant) vol is one simulation at eps = 1,
-    read at the level level eps^{-2b} for each eps."""
+    error (the conditional estimator's sample SE at rho = 0, binomial
+    otherwise); h_eps log p_hat (empty when p_hat = 0); n_paths and seed. The
+    points share the seed's draws, as in `ldp_slope`. A Tails ladder with a
+    rescaling (non-Constant) vol is one simulation at eps = 1, read at the
+    level level eps^{-2b} for each eps."""
     params = _build_model(cfg["model"])
     law = _build_law(cfg["law"])
     scheme = _build_scheme(cfg["scheme"])

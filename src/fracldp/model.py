@@ -24,13 +24,13 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     TimeGrid,
+    gram_matrix,
     operator_matrix,
 )
 from .paths import (
     GaussianPathBatch,
     _by_parts_matrix,
     _stable_cholesky,
-    fbm_covariance,
     make_rng,
     seed_label,
 )
@@ -444,22 +444,20 @@ _ROW_BLOCK = 2048
 # core's cache. Not part of the seed layout: a row's bits do not depend on
 # its tile. BLAS can round the rows of a GEMM with few rows differently
 # (numpy sends one row to gemv; OpenBLAS on AVX-512 does so up to 9 rows at
-# m = 128, and up to more at smaller m), so a remainder of fewer than
-# _TILE // 2 rows joins the last tile. One exception was measured: at
-# rho = 0 with m > 244 fine nodes and a vol that is not Linear (a Linear
-# vol's moments are summed row by row), OpenBLAS forms a whole block's and a
-# tile's terminal (mean | var) with different kernels, and tail estimates
-# move in the last bits. This bounds the memory a tail estimate at H != 1/2
-# holds. 256 ran as fast as 512 and faster than 128 or whole blocks.
+# m = 128, and up to more at smaller m: 75 rows for the (2m, m) GEMM of
+# H = 1/2 on a 16-node grid at rho != 0), so a remainder of fewer than
+# _TILE // 2 rows joins the last tile, and no tile is cut below 128 rows
+# unless its block is shorter. One exception was measured: at
+# rho = 0 with m > 244 simulation nodes and a vol that is not Linear (a
+# Linear vol's moments are summed row by row), OpenBLAS forms a whole
+# block's and a tile's terminal (mean | var) with different kernels, and
+# tail estimates move in the last bits. This bounds the memory a tail
+# estimate holds. 256 ran as fast as 512 and faster than 128 or whole blocks.
 _TILE = 256
 
-# Fine-grid steps of the H != 1/2 simulation over (0, T].
+# Fine-grid steps of the H != 1/2 simulation over (0, T]; H = 1/2 steps on
+# the caller's grid.
 _N_FINE = 128
-
-# Paths per chunk when tail_estimate runs at H = 1/2, where each step draws
-# whole (chunk,) columns. Part of that seed layout; a chunk holds about
-# eight such columns.
-_H_HALF_CHUNK = 200_000
 
 # Threads that run those blocks; not part of the seed layout.
 try:
@@ -468,30 +466,33 @@ except AttributeError:  # no CPU affinity on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _joint_bm_fbm_cholesky(H: float, t: np.ndarray, rho: float):
-    """Lower-triangular factor L of the joint law of (Wbar, W^H) at
-    t_1..t_n, Wbar first: Z @ L.T has that law for standard normal rows Z.
+def _joint_bm_fbm_cholesky(H: float, t: np.ndarray, rho: float, beta: float = 0.0):
+    """Lower-triangular factor L of the joint law of (Wbar, Y) at t_1..t_n,
+    Wbar first: Z @ L.T has that law for standard normal rows Z.
 
-    Wbar = rho B + rho_bar B' is the Euler driver, B the Volterra-generating
-    Brownian motion of W^H and B' an independent one. Wbar's increment over
-    panel k is sqrt(dt_k) Z_k. Cov(W^H_tj, dB_k) is the K^H operator matrix
-    A[j, k], so W^H = U Z_{:n} + L22 Z_{n:} with U = rho A diag(dt)^{-1/2}
-    and L22 the Cholesky factor of C_fBm - U U^T. At rho = 0, U is exactly 0
-    and no operator matrix is built.
+    Y_t = int_0^t F(t, s) dB_s with F the F_fou kernel at (H, beta), unit
+    xi: W^H at beta = 0, and the OU integral int_0^t e^{beta(t-s)} dB_s at
+    H = 1/2. Wbar = rho B + rho_bar B' is the Euler driver and B' an
+    independent Brownian motion. Wbar's increment over panel k is
+    sqrt(dt_k) Z_k. Cov(Y_tj, dB_k) is the operator matrix A[j, k] of F, so
+    Y = U Z_{:n} + L22 Z_{n:} with U = rho A diag(dt)^{-1/2} and L22 the
+    Cholesky factor of G - U U^T, G the Gram matrix of F (closed form at
+    beta = 0). At rho = 0, U is exactly 0 and no operator matrix is built.
     """
-    key = (H, tuple(t), rho)
+    key = (H, tuple(t), rho, beta)
     if key in _joint_chol_cache:
         return _joint_chol_cache[key]
     n = t.size
     dt = np.diff(t, prepend=0.0)
+    grid = TimeGrid(nodes=tuple(t), weights=tuple(dt))
+    spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta)
     U = np.zeros((n, n))
     if rho:
-        grid = TimeGrid(nodes=tuple(t), weights=tuple(dt))
-        U = rho * operator_matrix(KernelSpec(KernelKind.K_FBM, HurstParams(H)), grid) / np.sqrt(dt)
+        U = rho * operator_matrix(spec, grid) / np.sqrt(dt)
     L = np.zeros((2 * n, 2 * n))
     L[:n, :n] = np.tril(np.broadcast_to(np.sqrt(dt), (n, n)))
     L[n:, :n] = U
-    L[n:, n:] = _stable_cholesky(fbm_covariance(H, t[:, None], t[None, :]) - U @ U.T)
+    L[n:, n:] = _stable_cholesky(gram_matrix(spec, grid) - U @ U.T)
     _joint_chol_cache[key] = L
     return L
 
@@ -530,38 +531,33 @@ def simulate(
 ):
     """Simulate the rescaled pair (X^eps, Y^eps) on the grid.
 
-    For H = 1/2, Y^eps is exact in law at the grid nodes. For H != 1/2 it is
-    exact up to the trapezoid by-parts map on the fine grid: with the default
-    m = 128 the largest error of its covariance at the grid nodes, relative
-    to the largest entry, is 7.5e-4 at H = 0.1, 9.4e-5 at H = 0.3 and 2.6e-5
-    at H = 0.7 (against m = 8192). X^eps is Euler-Maruyama against
-    the increments of Wbar = rho B + rho_bar B', where B drives the
-    volatility. For H = 1/2 the volatility integral uses the exact per-panel
-    OU recursion. For H != 1/2, W^H is drawn on an internal fine grid of m
-    nodes and the fOU integral is evaluated by the integration-by-parts
-    identity there. With rho != 0, (Wbar, W^H) is drawn jointly from 2m
+    Y^eps is drawn on a simulation grid of m nodes, jointly with the Euler
+    driver Wbar = rho B + rho_bar B', where B drives the volatility (see
+    _simulate_general). For H = 1/2 the simulation grid is the grid itself
+    (m = n, `n_fine` unused), the OU integral is drawn from its exact joint
+    factor and Y^eps is exact in law at the nodes. For H != 1/2, W^H is drawn
+    on an internal fine grid of m nodes and the fOU integral is evaluated by
+    the integration-by-parts identity there: with the default m = 128 the
+    largest error of Y's covariance at the grid nodes, relative to the
+    largest entry, is 7.5e-4 at H = 0.1, 9.4e-5 at H = 0.3 and 2.6e-5 at
+    H = 0.7 (against m = 8192). X^eps is Euler-Maruyama with the vol at each
+    step's left end. With rho != 0, (Wbar, Y) is drawn jointly from 2m
     standard normals per path whose first m drive Wbar. With rho = 0, Wbar
-    is independent of the volatility, so each path draws m normals for W^H
-    and n more, one per grid panel, for X's increment over that panel from
-    its exact Gaussian law given the volatility path: the same law as the
-    Euler sum over the panel's fine steps.
+    is independent of the volatility, so each path draws m normals for Y and
+    n more, one per grid panel, for X's increment over that panel from its
+    exact Gaussian law given the volatility path: the same law as the Euler
+    sum over the panel's steps.
     Returns (x_batch, y_batch) as GaussianPathBatch objects.
     """
     rng, theta, points = _prepare(params, law, scheme, [eps], grid, n_paths, seed, allow_coarse)
-    if params.hurst.H == 0.5:
-        paths = []
-        _simulate_h_half(params, grid, n_paths, rng, theta, *points[0],
-                         lambda lo, hi, xb, yb: paths.append((xb, yb)))
-        ((x, y),) = paths
-    else:
-        x = np.empty((n_paths, grid.n))
-        y = np.empty((n_paths, grid.n))
+    x = np.empty((n_paths, grid.n))
+    y = np.empty((n_paths, grid.n))
 
-        def store(lo, hi, xb, yb):
-            x[lo:hi] = xb
-            y[lo:hi] = yb
+    def store(lo, hi, xb, yb):
+        x[lo:hi] = xb
+        y[lo:hi] = yb
 
-        _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, store)
+    _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, store)
     s = seed_label(seed)
     return GaussianPathBatch(values=x, grid=grid, seed=s), GaussianPathBatch(values=y, grid=grid, seed=s)
 
@@ -590,76 +586,19 @@ def _prepare(params, law, scheme, eps_ladder, grid, n_paths, seed, allow_coarse)
     return rng, theta, points
 
 
-def _simulate_h_half(params, grid, n_paths, rng, theta, beta_eff, start_scale,
-                     lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol, sink,
-                     terminal=False):
-    """Exact per-panel OU recursion for H = 1/2, handed to `sink` once.
-
-    Each grid step draws three (n_paths,) columns of standard normals from
-    `rng`, in this order: the Brownian increment of the vol driver B, the
-    independent B', and the OU integral's part orthogonal to dB. X and Y are
-    advanced as running (n_paths,) vectors, every step in place.
-
-    Calls sink(0, n_paths, x, y) with X and Y at the grid nodes, each
-    (n_paths, n). With `terminal` no (n_paths, n) array is built: x is X_T as
-    an (n_paths, 1) view and y is None.
-    """
-    t = grid.t
-    dt = np.diff(t, prepend=0.0)
-    n = grid.n
-    rho, rho_bar = params.rho, params.rho_bar
-    x = None if terminal else np.empty((n_paths, n))
-    y = None if terminal else np.empty((n_paths, n))
-    z = np.zeros(n_paths)  # exact OU integral int_0^t e^{beta_eff(t-u)} dW_u
-    xk = np.zeros(n_paths)
-    yk = start_scale * theta  # Y at time 0
-    dw, dwbar, ik, tmp = (np.empty(n_paths) for _ in range(4))
-    for k in range(n):
-        d = dt[k]
-        if abs(beta_eff) > 1e-14:
-            ebd = math.exp(beta_eff * d)
-            cov = (ebd - 1.0) / beta_eff          # Cov(I_k, dW_k)
-            var_i = (ebd * ebd - 1.0) / (2.0 * beta_eff)
-        else:
-            ebd, cov, var_i = 1.0, d, d
-        a = cov / d
-        c2 = var_i - cov * cov / d
-        c = math.sqrt(max(c2, 0.0))
-        for buf in (dw, dwbar, ik):
-            rng.standard_normal(out=buf)
-        dw *= math.sqrt(d)
-        dwbar *= math.sqrt(d)
-        # dwbar = rho dw + rho_bar dw', then ik = a dw + c N(0, 1)
-        dwbar *= rho_bar
-        dwbar += np.multiply(dw, rho, out=tmp)
-        ik *= c
-        ik += np.multiply(dw, a, out=dw)
-        s_val = svol(yk)
-        # xk += drift s^2 d + xnoise s dwbar, s the vol at the panel's left end
-        np.multiply(s_val, drift_coef, out=tmp)
-        tmp *= s_val
-        tmp *= d
-        xk += tmp
-        np.multiply(s_val, xnoise_coef, out=tmp)
-        tmp *= dwbar
-        xk += tmp
-        z *= ebd
-        z += ik
-        # s_val may be a view of yk; it is not read from here on
-        ebt = math.exp(beta_eff * t[k])
-        np.multiply(theta, start_scale, out=yk)
-        yk *= ebt
-        yk += lam_term_coef * (1.0 - ebt)
-        yk += np.multiply(z, noise_scale, out=tmp)
-        if not terminal:
-            x[:, k] = xk
-            y[:, k] = yk
-    sink(0, n_paths, xk[:, None] if terminal else x, y)
-
-
 def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, terminal=False):
-    """Fine-grid simulation for H != 1/2 at each point of an eps ladder
-    (`points`, from _prepare), handed to `sink` block by block.
+    """Simulation of each point of an eps ladder (`points`, from _prepare),
+    handed to `sink` block by block; the one route of `simulate` and the tail
+    estimators at every H.
+
+    The simulation grid t_1..t_m is the union of the grid with n_fine
+    uniform steps at H != 1/2, and the grid itself (m = n) at H = 1/2. Y's
+    noise at a point is noise_scale times the OU-type integral
+    Z_t = int_0^t F(t, s) dB_s at the point's beta_eff. At H != 1/2,
+    _joint_bm_fbm_cholesky factors (Wbar, W^H) and F maps W^H to Z by the
+    trapezoid by-parts identity on the fine grid. At H = 1/2 it factors
+    (Wbar, Z) itself at the point's beta_eff, exactly, and F is the
+    identity. [U, L22] are the factor's Y rows.
 
     Paths are simulated in blocks of _ROW_BLOCK rows (the last block is
     shorter). Block b draws one array of standard normals Z from the b-th
@@ -668,22 +607,21 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     n_paths only. Every point reads the same Theta and Z with the same
     arithmetic, whatever else the ladder holds, so it equals a one-point run
     at the same seed bit for bit. Per point, Z's last m columns, and with
-    rho != 0 all of them, enter one GEMM with (F [U, L22])^T, F the by-parts
-    fOU map at the point's beta_eff and [U, L22] the W^H rows of the factor
-    of _joint_bm_fbm_cholesky; the point scales the product by its
-    noise_scale to get its Y noise. (`tail_ladder` runs a Tails ladder with
-    a homogeneous vol as the single point eps = 1.) X's increments are
-    summed over each coarse panel through the 0/1 fine-step -> panel matrix
-    P and cumulated over the panels.
+    rho != 0 all of them, enter one GEMM with (F [U, L22])^T; the point
+    scales the product by its noise_scale to get its Y noise. (`tail_ladder`
+    runs a Tails ladder with a homogeneous vol as the single point eps = 1.)
+    X's increments are summed over each coarse panel through the 0/1
+    step -> panel matrix P (the identity at H = 1/2) and cumulated over the
+    panels.
 
     rho != 0: Z is (rows, 2m); its first m columns give the Euler driver's
     increments dWbar_k = sqrt(dt_k) Z_k, and the fine Euler increments
     dx_k = dw_coef_k s_k Z_k + drift_k s_k^2, with left-endpoint vol s, are
     summed as dx @ P.
 
-    rho = 0: Wbar is independent of W^H, so given the vol path a panel's sum
+    rho = 0: Wbar is independent of Y, so given the vol path a panel's sum
     of Euler increments is exactly Gaussian, with mean sum drift_k s_k^2 and
-    variance sum dw_coef_k^2 s_k^2 over its fine steps. Z is (rows, n + m);
+    variance sum dw_coef_k^2 s_k^2 over its steps. Z is (rows, n + m);
     one GEMM of s^2 with [drift P | dw_coef^2 P] gives (mean | var), and the
     panel increment is mean + sqrt(var) Z_j for the first n columns. With
     `terminal` the only panel is (0, T] and no X normal is drawn: Z is
@@ -724,13 +662,16 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     threads, concurrently.
     """
     H = params.hurst.H
+    # at H = 1/2 the factor draws each point's OU integral exactly, on the
+    # caller's grid; otherwise it draws W^H on the fine grid
+    half = H == 0.5
     t_coarse = grid.t
     n = grid.n
     T = t_coarse[-1]
-    t_fine = np.unique(np.concatenate([np.linspace(0.0, T, n_fine + 1)[1:], t_coarse]))
+    t_fine = t_coarse if half else np.unique(
+        np.concatenate([np.linspace(0.0, T, n_fine + 1)[1:], t_coarse]))
     m = t_fine.size
     k = len(points)
-    L = _joint_bm_fbm_cholesky(H, t_fine, params.rho)
     dtf = np.diff(t_fine, prepend=0.0)
     pathwise = params.rho != 0.0
     # at rho = 0 with `terminal`, a point ends at X_T's conditional moments
@@ -742,20 +683,22 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
         P = (np.searchsorted(t_coarse, t_fine)[:, None] == np.arange(n)).astype(float)
     nx = P.shape[1]
     # Z's first `width - m` columns drive X; the columns from `first` on give
-    # the Y noise through the W^H rows LW of the factor
+    # the Y noise through the Y rows of the factor
     if pathwise:
-        width, first, LW = 2 * m, 0, L[m:]
+        width, first = 2 * m, 0
     else:
         # one normal per panel for X, none when the sink takes X_T's moments
         first = 0 if moments else nx
-        width, LW = first + m, L[m:, m:]
+        width = first + m
     # a Linear vol's (mean | var) from V in the SVD basis of its noise map
     spectral = moments and params.vol.kind is VolKind.LINEAR
     consts = []
     for beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol in points:
         # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
         ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
-        MT = (_by_parts_matrix(t_fine, beta_eff) @ LW).T
+        L = _joint_bm_fbm_cholesky(H, t_fine, params.rho, beta_eff if half else 0.0)
+        LW = L[m:] if pathwise else L[m:, m:]
+        MT = (LW if half else _by_parts_matrix(t_fine, beta_eff) @ LW).T
         if spectral:
             s, a1, a0 = _linear_vol_spectrum(MT, dtf, start_scale * ebt[:-1],
                                              lam_term_coef * (1.0 - ebt[:-1]))
@@ -879,37 +822,12 @@ def tail_estimate(params: ModelParams, law: InitialLaw, scheme: RescalingScheme,
     from n_paths simulated paths that are never held all at once. p_hat and
     std_err are Python floats.
 
-    H != 1/2: the one-point `tail_ladder`, which describes the estimator. A
-    Tails estimate with a homogeneous vol runs at eps = 1 against the level
-    level eps^{-2b}.
-    H = 1/2: crude. p_hat is the fraction of paths with X_T >= level and
-    std_err the binomial sqrt(p_hat (1 - p_hat) / n_paths). The exact OU
-    recursion runs on consecutive chunks of _H_HALF_CHUNK paths from the
-    seed's generator, with the draws of `simulate` on those chunks, and keeps
-    only a running X_T and Y per path. It stays crude so that its results for
-    a given seed, which acceptance criteria 7 and 8 and
-    `configs/simulate_tails.json` fix, do not move.
-    `tail_probability` on simulate's paths is crude at every H.
+    The one-point `tail_ladder`, which describes the estimator. A Tails
+    estimate with a homogeneous vol runs at eps = 1 against the level
+    level eps^{-2b}. `tail_probability` on simulate's paths is crude.
     """
-    if params.hurst.H != 0.5:
-        (est,), _ = tail_ladder(params, law, scheme, [eps], grid, n_paths, seed, level)
-        return est
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
-    hits = []  # one count per chunk
-
-    def count_hits(lo, hi, x, _):
-        hits.append(int(np.count_nonzero(x[:, -1] >= level)))
-
-    rng = seed
-    for lo in range(0, n_paths, _H_HALF_CHUNK):
-        rows = min(_H_HALF_CHUNK, n_paths - lo)
-        rng, theta, (point,) = _prepare(params, law, scheme, [eps], grid, rows, rng, False)
-        _simulate_h_half(params, grid, rows, rng, theta, *point, count_hits, terminal=True)
-    p = sum(hits) / n_paths
-    return MCEstimate(p_hat=p, std_err=math.sqrt(p * (1.0 - p) / n_paths), n_paths=n_paths,
-                      seed=seed_label(seed),
-                      event=f"X({grid.t[-1]}) >= {level}")
+    (est,), _ = tail_ladder(params, law, scheme, [eps], grid, n_paths, seed, level)
+    return est
 
 
 def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, eps_ladder,
@@ -919,9 +837,9 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
     Returns (estimates, cov): one MCEstimate per eps, with Python-float
     p_hat and std_err, and the covariance matrix of the p_hats.
 
-    H != 1/2: one pass over the blocks of `_simulate_general` draws Theta
-    and each block's normals once, from the seed's own generator, for every
-    point (common random numbers). So each point equals `tail_estimate` at
+    One pass over the blocks of `_simulate_general` draws Theta and each
+    block's normals once, from the seed's own generator, for every point
+    (common random numbers). So each point equals `tail_estimate` at
     its eps and seed, whatever else the ladder holds, and the points are
     correlated.
     A Tails ladder whose vol is `homogeneous` is one pass at unit scale:
@@ -935,34 +853,24 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
       or 1{mean >= L_i} where var = 0 (conditional Monte Carlo). Given its
       vol path, X_T is exactly N(mean, var), mean = sum_k drift_k s_k^2 and
       var = sum_k dw_coef_k^2 s_k^2 over the fine steps, so a path draws
-      only its m W^H normals. q has the expectation of the hit indicator and
+      only its m normals for Y. q has the expectation of the hit indicator and
       never a larger variance. With a Linear vol, (mean, var) come from the
       SVD basis of the vol's noise map (see `_simulate_general`): the same
       law as the GEMM route's, but other values for a given seed.
     - rho != 0: 1{X_T >= L_i} on simulate's X_T for the same seed (crude),
       at eps = 1 for a unit-scale ladder. Given the vol path alone X_T is
-      not Gaussian, because Wbar shares B with W^H, and the joint
-      (Wbar, W^H) factor gives no factor of the drivers conditioned on B.
+      not Gaussian, because Wbar shares B with Y, and the joint (Wbar, Y)
+      factor gives no factor of the drivers conditioned on B.
     p_hat is the mean of q and cov the sample covariance of q divided by
     n_paths, so std_err = sqrt(sum_i (q_i - p_hat)^2) / n_paths: for 0/1
     values the binomial sqrt(p_hat (1 - p_hat) / n_paths). Each block keeps
     sum q and the co-moments about its own mean; Chan's pairwise update
     merges the blocks in block order, so no number depends on the worker
     count.
-
-    H = 1/2: point i is `tail_estimate` on child stream i of the seed, and
-    cov is diagonal.
     """
     eps_ladder = list(eps_ladder)
     _check_eps(eps_ladder)
     k = len(eps_ladder)
-    if params.hurst.H == 0.5:
-        rng = make_rng(seed)
-        ests = [tail_estimate(params, law, scheme, eps, grid, n_paths, child, level)
-                for eps, child in zip(eps_ladder, rng.spawn(k))]
-        for est in ests:
-            est.seed = seed_label(seed)
-        return ests, np.diag(np.square([est.std_err for est in ests]))
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     # Tails with a homogeneous vol: X^eps = eps^{2b} X^1 path by path, so
@@ -1039,8 +947,8 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     exactly affine); intercept and its standard error are reported. The
     ladder is one `tail_ladder`, as in the CLI `simulate` command. The
     intercept's Monte Carlo variance is g^T D C D g, with g its OLS weights,
-    C the ladder's p_hat covariance (diagonal at H = 1/2 only) and
-    D = diag(h_eps / p_hat), the delta method for h_eps log p_hat.
+    C the ladder's p_hat covariance and D = diag(h_eps / p_hat), the delta
+    method for h_eps log p_hat.
     """
     eps_ladder = list(eps_ladder)
     if len(eps_ladder) < 3:
@@ -1066,22 +974,13 @@ def ldp_slope(params, law, scheme, eps_ladder, level, n_paths, seed,
     cov = s2 * np.linalg.inv(A.T @ A)
     # intercept noise: propagate the ladder's MC covariance of h_eps log p_hat
     # through the OLS weights, then add the residual lack-of-fit term
-    g = (np.linalg.inv(A.T @ A) @ A.T)[0]
-    se_pts = np.array([
-        scheme.speed(e, H) * se / p
-        for e, p, se, c in zip(eps_ladder, p_hats, std_errs, censored) if not c
-    ])
-    # g^T D C D g as w^T R w, R the correlation matrix, so that a diagonal C
-    # gives sum w^2 bit for bit
-    sd = np.sqrt(np.diag(C))
-    sd2 = np.outer(sd, sd)
     keep = np.flatnonzero(np.logical_not(censored))
-    R = np.divide(C, sd2, out=np.eye(len(sd)), where=sd2 > 0)[np.ix_(keep, keep)]
-    w = g * se_pts
-    mc_var = float(np.sum(w * (R @ w)))
+    Dg = (np.linalg.inv(A.T @ A) @ A.T)[0] * [scheme.speed(eps_ladder[i], H) / p_hats[i]
+                                              for i in keep]
+    mc_var = float(Dg @ C[np.ix_(keep, keep)] @ Dg)
     return SlopeFit(
         limit=float(coef[0]),
-        limit_std_err=float(math.sqrt(max(cov[0, 0], 0.0) + mc_var)),
+        limit_std_err=float(math.sqrt(max(cov[0, 0] + mc_var, 0.0))),
         eps_ladder=eps_ladder,
         h_log_p=h_log_p,
         p_hats=p_hats,

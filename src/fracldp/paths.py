@@ -5,8 +5,8 @@ Reproducibility contract: a 64-bit seed fully determines the batch for a
 given grid, path count and construction. The samplers here draw from one
 stream. Where work is split, each piece draws from its own child stream,
 spawned by index, so results do not depend on scheduling: the row blocks of
-`model.simulate` and `model.tail_ladder` at H != 1/2, which run on a
-thread pool, and the ladder points of `model.tail_ladder` at H = 1/2.
+`model.simulate` and `model.tail_ladder`, at every H, which run on a
+thread pool.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .kernels import (
 
 
 class FouConstruction(str, enum.Enum):
-    COV_FACTOR = "CovFactor"
     KERNEL_DRIVEN = "KernelDriven"
     PRODUCT_RULE = "ProductRule"
 
@@ -43,7 +42,7 @@ class GaussianPathBatch:
     values: np.ndarray
     grid: TimeGrid
     seed: int = 0
-    construction: FouConstruction = FouConstruction.COV_FACTOR
+    construction: FouConstruction = FouConstruction.KERNEL_DRIVEN
 
     @property
     def n_paths(self) -> int:
@@ -115,10 +114,9 @@ def sample_fou(
 ) -> GaussianPathBatch:
     """Sample the fractional OU integral xi int_0^t F(t,s) dW_s.
 
-    CovFactor and KernelDriven draw exact Gaussian vectors with the kernel's
-    Gram covariance (the kernel-driven stochastic integral has exactly this
-    law, so the two constructions coincide here). ProductRule instead
-    simulates fBm on a fine internal grid and applies the
+    KernelDriven draws exact Gaussian vectors with the kernel's Gram
+    covariance, the law of the kernel-driven stochastic integral. ProductRule
+    instead simulates fBm on a fine internal grid and applies the
     integration-by-parts identity
         Y_t = xi (W^H_t + beta int_0^t W^H_u e^{beta(t-u)} du),
     which has the same law; comparing the two is the numerical content of
@@ -131,14 +129,12 @@ def sample_fou(
     rng = make_rng(seed)
     if xi == 0.0:
         vals = np.zeros((n_paths, grid.n))
-    elif construction in (FouConstruction.COV_FACTOR, FouConstruction.KERNEL_DRIVEN):
+    elif construction is FouConstruction.KERNEL_DRIVEN:
         L = _stable_cholesky(gram_matrix(spec, grid))
         Z = rng.standard_normal((n_paths, grid.n))
         vals = Z @ L.T
-    elif construction is FouConstruction.PRODUCT_RULE:
+    else:  # ProductRule
         vals = _product_rule_paths(H, beta, xi, grid, n_paths, rng)
-    else:
-        raise ValueError(f"unknown construction {construction}")
     return GaussianPathBatch(
         values=vals,
         grid=grid,

@@ -206,8 +206,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("H", [0.5, 0.3])
     def test_p_hat_matches_ldp_slope(self, tmp_path, H):
-        # both run one tail_ladder: at H != 1/2 one pass over the seed's own
-        # draws, at H = 1/2 one child stream per ladder index
+        # both run one tail_ladder, one pass over the seed's own draws
         cfg = dict(self.CFG, model={"H": H, "vol": {"kind": "Linear", "b": 0.75}},
                    eps_ladder=[0.7, 0.6, 0.5])
         out = tmp_path / "o"
@@ -222,18 +221,19 @@ class TestSimulateCommand:
 
 
     def test_p_hat_matches_ldp_slope_past_200k_paths(self, tmp_path):
-        # more paths than one H = 1/2 chunk: at H != 1/2 neither side chunks
-        cfg = dict(self.CFG, model={"H": 0.3, "vol": {"kind": "Linear", "b": 0.75}},
-                   eps_ladder=[0.7, 0.6, 0.5], n_paths=250_000)
-        out = tmp_path / "o"
-        assert run(write_config(tmp_path, cfg), out=str(out)) == EXIT_OK
-        p_cli = [float(r[2]) for r in read_csv(out / "simulate.csv")[1:]]
-        params = ModelParams(hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
-        fit = ldp_slope(params, point_law(0.1), RescalingScheme("Tails", b=0.75),
-                        cfg["eps_ladder"], cfg["level"], cfg["n_paths"], cfg["seed"],
-                        grid=TimeGrid.uniform(16))
-        assert p_cli == fit.p_hats
-        assert all(p > 0 for p in p_cli)
+        # 123 blocks, the last of 144 rows, on worker threads, at both H
+        for H in (0.3, 0.5):
+            cfg = dict(self.CFG, model={"H": H, "vol": {"kind": "Linear", "b": 0.75}},
+                       eps_ladder=[0.7, 0.6, 0.5], n_paths=250_000)
+            out = tmp_path / f"o{H}"
+            assert run(write_config(tmp_path, cfg), out=str(out)) == EXIT_OK
+            p_cli = [float(r[2]) for r in read_csv(out / "simulate.csv")[1:]]
+            params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75))
+            fit = ldp_slope(params, point_law(0.1), RescalingScheme("Tails", b=0.75),
+                            cfg["eps_ladder"], cfg["level"], cfg["n_paths"], cfg["seed"],
+                            grid=TimeGrid.uniform(16))
+            assert p_cli == fit.p_hats
+            assert all(p > 0 for p in p_cli)
 
 
 class TestRateCommand:

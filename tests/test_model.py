@@ -352,6 +352,26 @@ def _joint_bm_fbm_covariance(H, t):
     return C
 
 
+def _joint_bm_ou_covariance(beta, t):
+    """Covariance of (B_{t_1..t_n}, Z_{t_1..t_n}) with Z_t the OU integral
+    int_0^t e^{beta(t-u)} dB_u, in closed form: with s = min(t_i, t_j),
+    Cov(B_ti, Z_tj) = e^{beta(t_j - s)} expm1(beta s) / beta and
+    Cov(Z_ti, Z_tj) = e^{beta |t_i - t_j|} expm1(2 beta s) / (2 beta), each
+    s at beta = 0. The oracle for the H = 1/2 factor of (Wbar, Z)."""
+    n = t.size
+    s = np.minimum.outer(t, t)
+
+    def integral(rate):  # int_0^s e^{rate (s - u)} du
+        return np.expm1(rate * s) / rate if rate else s
+
+    C = np.empty((2 * n, 2 * n))
+    C[:n, :n] = s
+    C[:n, n:] = np.exp(beta * (t[None, :] - s)) * integral(beta)
+    C[n:, :n] = C[:n, n:].T
+    C[n:, n:] = np.exp(beta * np.abs(t[:, None] - t[None, :])) * integral(2.0 * beta)
+    return C
+
+
 def _cross_block_nested_quadrature(H, t):
     """Cov(B_ti, W^H_tj) = int_0^min(ti,tj) K^H(tj, u) du by a tanh-sinh rule
     on the whole interval: the construction the operator-matrix row-cumsum
@@ -406,22 +426,25 @@ class TestJointCovariance:
         np.testing.assert_allclose(cross, np.minimum.outer(t, t), rtol=0, atol=1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_factors_without_jitter(self, monkeypatch, H):
-        # a jitter fallback in _stable_cholesky warns, which fails here
+        # a jitter fallback in _stable_cholesky warns, which fails here; at
+        # H = 1/2 the factor of (Wbar, OU integral) at rates from 0 to -200
         monkeypatch.setattr(model, "_joint_chol_cache", {})
-        for rho in (0.0, 0.9, -0.999):
-            model._joint_bm_fbm_cholesky(H, TimeGrid.uniform(128).t, rho)
+        for beta in (0.0, -1e-8, -1e-3, -1.0, -20.0, -200.0) if H == 0.5 else (0.0,):
+            for rho in (0.0, 0.9, -0.999):
+                model._joint_bm_fbm_cholesky(H, TimeGrid.uniform(128).t, rho, beta)
 
     @staticmethod
-    def _factor_error(H, rho, t):
-        """max |L L^T - C| / max |C|, with C the oracle for (Wbar, W^H):
-        Cov(Wbar, Wbar) = min, Cov(Wbar, W^H) = rho times the cross block."""
+    def _factor_error(H, rho, t, beta=0.0):
+        """max |L L^T - C| / max |C|, with C the oracle for (Wbar, Y):
+        Cov(Wbar, Wbar) = min, Cov(Wbar, Y) = rho times the cross block. Y is
+        W^H, or at H = 1/2 the OU integral at rate beta."""
         n = t.size
-        C = _joint_bm_fbm_covariance(H, t)
+        C = _joint_bm_ou_covariance(beta, t) if H == 0.5 else _joint_bm_fbm_covariance(H, t)
         C[:n, n:] *= rho
         C[n:, :n] *= rho
-        L = model._joint_bm_fbm_cholesky(H, t, rho)
+        L = model._joint_bm_fbm_cholesky(H, t, rho, beta)
         return np.max(np.abs(L @ L.T - C)) / np.max(np.abs(C))
 
     def test_rho_zero_builds_no_operator_matrix(self, monkeypatch):
@@ -442,6 +465,13 @@ class TestJointCovariance:
     def test_factor_is_exact(self, H, rho):
         assert self._factor_error(H, rho, TimeGrid.uniform(128).t) <= 1e-13
 
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 0.9])
+    @pytest.mark.parametrize("beta", [0.0, -1e-3, -1.5, -20.0])
+    def test_h_half_factor_is_exact(self, beta, rho):
+        # the factor of (Wbar, OU integral) at each point's beta_eff
+        for n in (16, 128):
+            assert self._factor_error(0.5, rho, TimeGrid.uniform(n).t, beta) <= 1e-13
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(H=st.floats(0.05, 0.95),
            rho=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
@@ -451,7 +481,8 @@ class TestJointCovariance:
 
 
 class TestRoughSimulationLayout:
-    """Seed layout and linear map of the H != 1/2 fine-grid simulation."""
+    """Seed layout and linear map of the block simulation: on the fine grid
+    at H != 1/2, on the caller's grid at H = 1/2."""
 
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
     @pytest.mark.parametrize("kind", [SchemeKind.TAILS, SchemeKind.SMALL_TIME])
@@ -475,26 +506,27 @@ class TestRoughSimulationLayout:
         assert np.max(np.abs(np.sqrt(np.diff(t_fine, prepend=0.0)) * Z[:, :m] - dw)) \
             <= 1e-13 * np.max(np.abs(dw))
 
-    def _args(self, n_paths, rho=-0.4):
-        params = ModelParams(hurst=HurstParams(0.3), vol=linear_vol(b=0.75), rho=rho)
+    def _args(self, n_paths, rho=-0.4, H=0.3):
+        params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75), rho=rho)
         return (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
                 TimeGrid.uniform(16), n_paths)
 
     def _check_worker_count(self, monkeypatch, workers, rho):
         # two full blocks and a short one; with 3 workers every block gets a
         # thread, and a short switch interval interleaves them more often
-        args = self._args(2 * model._ROW_BLOCK + 37, rho)
-        monkeypatch.setattr(model, "_WORKERS", 1)
-        x1, y1 = simulate(*args, seed=4)
-        monkeypatch.setattr(model, "_WORKERS", workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            x2, y2 = simulate(*args, seed=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(x1.values, x2.values)
-        assert np.array_equal(y1.values, y2.values)
+        for H in (0.3, 0.5):
+            args = self._args(2 * model._ROW_BLOCK + 37, rho, H)
+            monkeypatch.setattr(model, "_WORKERS", 1)
+            x1, y1 = simulate(*args, seed=4)
+            monkeypatch.setattr(model, "_WORKERS", workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                x2, y2 = simulate(*args, seed=4)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(x1.values, x2.values)
+            assert np.array_equal(y1.values, y2.values)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_count_does_not_change_paths(self, monkeypatch, workers):
@@ -558,19 +590,22 @@ class TestRoughSimulationLayout:
     @pytest.mark.parametrize("n_paths", [2 * model._ROW_BLOCK + d for d in (257, 261)]
                              + [model._ROW_BLOCK + 1])
     def test_tile_size_does_not_change_results(self, monkeypatch, rho, n_paths):
-        # the tile is not part of the seed layout: one tile per block, 32-row
+        # the tile is not part of the seed layout: one tile per block, small
         # tiles, a non-divisor of the block and the default give the same bits.
         # A last block of 257 or 261 rows leaves a 1- or 5-row remainder after
         # 256- and 32-row tiles, which joins the last tile (BLAS rounds a
         # GEMM of so few rows differently); a block of 1 row is one tile.
-        # The 125-node grid has m = 252 fine nodes, past the m > 244 at which
-        # the GEMM route's (mean | var) depends on the tile at rho = 0
-        params = ModelParams(lam=0.2, rho=rho, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
+        # The 125-node grid has m = 252 fine nodes at H = 0.3, past the
+        # m > 244 at which the GEMM route's (mean | var) depends on the tile
+        # at rho = 0. H = 1/2 runs on the grid itself (m = 16 and 125), where
+        # OpenBLAS rounds GEMMs of up to 75 rows differently (see _TILE), so
+        # its small tiles have 128 rows, the fewest the default tile cuts
         law, grid = uniform_law(-0.5, 0.5), TimeGrid.uniform(16)
         tails, small = (RescalingScheme(kind, b=0.75)
                         for kind in (SchemeKind.TAILS, SchemeKind.SMALL_TIME))
 
-        def run():
+        def run(H):
+            params = ModelParams(lam=0.2, rho=rho, hurst=HurstParams(H), vol=linear_vol(b=0.75))
             ladders = [tail_ladder(params, law, scheme, [0.7, 0.5], g, n_paths, 9, 0.05)
                        for scheme, g in ((tails, grid), (small, grid),
                                          (tails, TimeGrid.uniform(125)))]
@@ -578,15 +613,16 @@ class TestRoughSimulationLayout:
             return [[(e.p_hat, e.std_err) for e in ests] for ests, _ in ladders], \
                 [cov for _, cov in ladders], x.values, y.values
 
-        tiles = (model._TILE, 32, 300)
-        monkeypatch.setattr(model, "_TILE", model._ROW_BLOCK)
-        estimates, covs, x, y = run()
-        for tile in tiles:
-            monkeypatch.setattr(model, "_TILE", tile)
-            got = run()
-            assert got[0] == estimates
-            assert all(np.array_equal(a, b) for a, b in zip(got[1], covs))
-            assert np.array_equal(got[2], x) and np.array_equal(got[3], y)
+        default = model._TILE
+        for H, smallest in ((0.3, 32), (0.5, 128)):
+            monkeypatch.setattr(model, "_TILE", model._ROW_BLOCK)
+            estimates, covs, x, y = run(H)
+            for tile in (default, smallest, 300):
+                monkeypatch.setattr(model, "_TILE", tile)
+                got = run(H)
+                assert got[0] == estimates
+                assert all(np.array_equal(a, b) for a, b in zip(got[1], covs))
+                assert np.array_equal(got[2], x) and np.array_equal(got[3], y)
 
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
     def test_rho_zero_law_matches_pathwise_euler(self, H):
@@ -615,9 +651,9 @@ class TestRoughSimulationLayout:
 
 
 class TestTailEstimate:
-    """tail_estimate reduces each block of the H != 1/2 simulation to its
-    count of X_T >= level (rho != 0) or to the sums of P(X_T >= level | vol
-    path) and of their squared deviations (rho = 0)."""
+    """tail_estimate reduces each block of the simulation to its count of
+    X_T >= level (rho != 0) or to the sums of P(X_T >= level | vol path) and
+    of their squared deviations (rho = 0), at every H."""
 
     def _args(self, rho, n_paths=2 * model._ROW_BLOCK + 37, H=0.3, n=16):
         params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75), rho=rho)
@@ -628,17 +664,20 @@ class TestTailEstimate:
         # rho != 0 draws and computes as simulate does, so the counts agree
         # exactly: a Tails estimate counts simulate's X_T at eps = 1 against
         # level eps^{-2b} (X^eps = eps^{2b} X^1 on the same draws), a
-        # SmallTime one simulate's X_T at its own eps against the level
-        params, law, scheme, eps, grid, n_paths = self._args(rho=-0.4)
-        x1 = simulate(params, law, scheme, 1.0, grid, n_paths, seed=4)[0].values[:, -1]
-        for level in np.quantile(eps ** (2 * scheme.b) * x1, [0.1, 0.5, 0.9]):
-            est = tail_estimate(params, law, scheme, eps, grid, n_paths, seed=4, level=level)
-            assert est.p_hat == np.count_nonzero(x1 >= level * eps ** (-2.0 * scheme.b)) / n_paths
-        small = RescalingScheme(SchemeKind.SMALL_TIME, b=0.75)
-        x = simulate(params, law, small, eps, grid, n_paths, seed=4)[0].values[:, -1]
-        for level in np.quantile(x, [0.1, 0.5, 0.9]):
-            est = tail_estimate(params, law, small, eps, grid, n_paths, seed=4, level=level)
-            assert est.p_hat == np.count_nonzero(x >= level) / n_paths
+        # SmallTime one simulate's X_T at its own eps against the level. At
+        # H = 1/2 each SmallTime eps has its own beta_eff, so its own factor
+        for H in (0.3, 0.5):
+            params, law, scheme, eps, grid, n_paths = self._args(rho=-0.4, H=H)
+            x1 = simulate(params, law, scheme, 1.0, grid, n_paths, seed=4)[0].values[:, -1]
+            for level in np.quantile(eps ** (2 * scheme.b) * x1, [0.1, 0.5, 0.9]):
+                est = tail_estimate(params, law, scheme, eps, grid, n_paths, seed=4, level=level)
+                assert est.p_hat == \
+                    np.count_nonzero(x1 >= level * eps ** (-2.0 * scheme.b)) / n_paths
+            small = RescalingScheme(SchemeKind.SMALL_TIME, b=0.75)
+            x = simulate(params, law, small, eps, grid, n_paths, seed=4)[0].values[:, -1]
+            for level in np.quantile(x, [0.1, 0.5, 0.9]):
+                est = tail_estimate(params, law, small, eps, grid, n_paths, seed=4, level=level)
+                assert est.p_hat == np.count_nonzero(x >= level) / n_paths
 
     def test_rho_zero_terminal_draw(self):
         # at rho = 0 a block draws Z of shape (rows, m), the W^H normals only.
@@ -672,14 +711,16 @@ class TestTailEstimate:
             ref = np.mean(ndtr((mean - level) / np.sqrt(var)))
             assert abs(est.p_hat - ref) <= 1e-14 * ref
 
-    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7])
     def test_rho_zero_law_matches_simulate(self, H):
         # the conditional estimator against crude hits on simulate's X_T, which
-        # has the same law
-        n, level = 100_000, 0.3
+        # has the same law. A level near the median X_T makes an O(dt) slip in
+        # simulate's Euler step show: at H = 1/2, whose 16 steps are the grid's,
+        # a right-endpoint vol moves simulate's p_hat by about 10 SE
+        n, level = 100_000, -0.1
         params = ModelParams(beta=-1.0, xi=1.0, rho=0.0, hurst=HurstParams(H),
                              vol=linear_vol(b=0.75))
-        args = (params, point_law(0.2), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
+        args = (params, point_law(1.0), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
                 TimeGrid.uniform(16), n)
         est = tail_estimate(*args, seed=31, level=level)
         ref = tail_probability(simulate(*args, seed=32)[0], level, 1.0)
@@ -690,45 +731,35 @@ class TestTailEstimate:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_count_does_not_change_estimate(self, monkeypatch, workers, rho):
         # two full blocks and a short one, as in the worker-count test of simulate
-        args = self._args(rho)
-        monkeypatch.setattr(model, "_WORKERS", 1)
-        ref = tail_estimate(*args, seed=4, level=-0.05)
-        monkeypatch.setattr(model, "_WORKERS", workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = tail_estimate(*args, seed=4, level=-0.05)
-        finally:
-            sys.setswitchinterval(interval)
-        assert 0.05 < ref.p_hat < 0.95
-        assert (got.p_hat, got.std_err) == (ref.p_hat, ref.std_err)
-        assert type(got.p_hat) is float and type(got.std_err) is float
+        for H in (0.3, 0.5):
+            args = self._args(rho, H=H)
+            monkeypatch.setattr(model, "_WORKERS", 1)
+            ref = tail_estimate(*args, seed=4, level=-0.05)
+            monkeypatch.setattr(model, "_WORKERS", workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = tail_estimate(*args, seed=4, level=-0.05)
+            finally:
+                sys.setswitchinterval(interval)
+            assert 0.05 < ref.p_hat < 0.95
+            assert (got.p_hat, got.std_err) == (ref.p_hat, ref.std_err)
+            assert type(got.p_hat) is float and type(got.std_err) is float
 
     def test_memory_is_per_block(self, monkeypatch):
         # (n_paths x n) arrays of X and Y would take 2 * 100k * 32 * 8 B = 51 MB;
-        # two workers hold one 2048-row block each (about 6 MB apiece) and Theta
+        # two workers hold one 2048-row block each (about 6 MB apiece) and
+        # Theta. At H = 1/2 and rho != 0 the 200k paths' X and Y would take 102 MB
         monkeypatch.setattr(model, "_WORKERS", 2)
-        args = self._args(rho=0.0, n_paths=100_000, n=32)
-        tracemalloc.start()
-        try:
-            tail_estimate(*args, seed=3, level=0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 17e6
-
-    def test_h_half_memory_is_per_path(self, monkeypatch):
-        # the (n_paths x n) X and Y of one 200k-path chunk at n = 32 would take
-        # 102 MB; the running X_T, Y and OU integral, Theta and four scratch
-        # columns take 8 * 1.6 MB
-        args = self._args(rho=-0.4, n_paths=200_000, H=0.5, n=32)
-        tracemalloc.start()
-        try:
-            tail_estimate(*args, seed=3, level=0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 15e6
+        for H, rho, n_paths in ((0.3, 0.0, 100_000), (0.5, 0.0, 100_000), (0.5, -0.4, 200_000)):
+            args = self._args(rho=rho, n_paths=n_paths, H=H, n=32)
+            tracemalloc.start()
+            try:
+                tail_estimate(*args, seed=3, level=0.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 17e6
 
     def test_gaussian_control_is_exact(self):
         # constant vol c at rho = 0: every path has X_T ~ N(-c^2 / 2, eps^{2b} c^2),
@@ -765,33 +796,26 @@ class TestTailEstimate:
 
     def test_std_err_is_honest(self):
         # the reported SE against the spread of p_hat over 40 seeds, at the
-        # smallest eps of the configs/simulate_tails.json ladder with H = 0.3
-        params = ModelParams(rho=0.0, hurst=HurstParams(0.3), vol=linear_vol(b=0.75))
-        args = (params, point_law(0.1), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.4,
-                TimeGrid.uniform(32), 10_000)
-        ests = [tail_estimate(*args, seed=s, level=0.5) for s in range(40)]
-        spread = np.std([e.p_hat for e in ests], ddof=1)
-        assert 0.6 <= spread / np.mean([e.std_err for e in ests]) <= 1.5
-
-    def test_h_half_matches_chunked_simulate(self, monkeypatch):
-        # H = 1/2 runs simulate on consecutive chunks drawn from one generator
-        monkeypatch.setattr(model, "_H_HALF_CHUNK", 4)
-        args = self._args(rho=-0.4, n_paths=7, H=0.5)
-        rng = make_rng(5)
-        x1 = np.concatenate([simulate(*args[:5], c, rng)[0].values[:, -1] for c in (4, 3)])
-        level = float(np.median(x1))
-        est = tail_estimate(*args, seed=5, level=level)
-        assert est.p_hat == np.count_nonzero(x1 >= level) / 7
+        # smallest eps of the configs/simulate_tails.json ladder, with H = 0.3
+        # and its own H = 1/2
+        for H in (0.3, 0.5):
+            params = ModelParams(rho=0.0, hurst=HurstParams(H), vol=linear_vol(b=0.75))
+            args = (params, point_law(0.1), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.4,
+                    TimeGrid.uniform(32), 10_000)
+            ests = [tail_estimate(*args, seed=s, level=0.5) for s in range(40)]
+            spread = np.std([e.p_hat for e in ests], ddof=1)
+            assert 0.6 <= spread / np.mean([e.std_err for e in ests]) <= 1.5
 
 
 class TestTailLadder:
     """tail_ladder runs an eps ladder in one pass over the blocks of the
-    H != 1/2 simulation, every point on the same Theta and normals."""
+    simulation, every point on the same Theta and normals."""
 
     EPS = (0.7, 0.6, 0.5, 0.4)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(data=st.data(), rho=st.sampled_from([0.0, -0.4]), H=st.sampled_from([0.1, 0.3, 0.7]),
+    @given(data=st.data(), rho=st.sampled_from([0.0, -0.4]),
+           H=st.sampled_from([0.1, 0.3, 0.5, 0.7]),
            kind=st.sampled_from([SchemeKind.TAILS, SchemeKind.SMALL_TIME]),
            n_paths=st.sampled_from([model._ROW_BLOCK + d
                                     for d in (-1, 0, 1, 8 * model._ROW_BLOCK + 5)]),
@@ -845,7 +869,7 @@ class TestTailLadder:
             assert abs(est.p_hat - p) <= 1e-12 * p
             assert abs(est.std_err - se) <= 1e-12 * se
 
-    @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7])
     @pytest.mark.parametrize("kind", [SchemeKind.TAILS, SchemeKind.SMALL_TIME])
     @pytest.mark.parametrize("law", [point_law(0.3), uniform_law(-0.5, 0.5)],
                              ids=["Point", "Uniform"])
@@ -854,7 +878,9 @@ class TestTailLadder:
         # xnoise_coef^2 V. V = sum_k dtf_k y_k^2 with y the left-endpoint vol
         # y = theta y_start + y_lam + noise_scale B z, B = [0; MT[:, :m-1]^T].
         # With G = diag(sqrt(dtf)) B = U diag(s) W^T, the route reads its
-        # draws Z as W^T z: its V at Z must be the GEMM form's V at z = W Z
+        # draws Z as W^T z: its V at Z must be the GEMM form's V at z = W Z.
+        # MT is the by-parts map of the W^H factor on the fine grid, and at
+        # H = 1/2 the OU factor at beta_eff on the grid itself
         params = ModelParams(lam=0.2, rho=0.0, hurst=HurstParams(H), vol=linear_vol(b=0.75))
         scheme = RescalingScheme(kind, b=0.75)
         grid, rows, seed, eps = TimeGrid.uniform(16), 300, 6, 0.6
@@ -868,12 +894,15 @@ class TestTailLadder:
         # a one-block run draws Theta, then Z from child stream 0
         rng = make_rng(seed)
         law.sample(rows, rng)
-        t_fine = np.linspace(0.0, 1.0, model._N_FINE + 1)[1:]
+        t_fine = grid.t if H == 0.5 else np.linspace(0.0, 1.0, model._N_FINE + 1)[1:]
         m = t_fine.size
         Z = rng.spawn(1)[0].standard_normal((rows, m))
         dtf = np.diff(t_fine, prepend=0.0)
-        LW = model._joint_bm_fbm_cholesky(H, t_fine, 0.0)[m:, m:]
-        MT = (_by_parts_matrix(t_fine, beta_eff) @ LW).T
+        if H == 0.5:
+            MT = model._joint_bm_fbm_cholesky(H, t_fine, 0.0, beta_eff)[m:, m:].T
+        else:
+            LW = model._joint_bm_fbm_cholesky(H, t_fine, 0.0)[m:, m:]
+            MT = (_by_parts_matrix(t_fine, beta_eff) @ LW).T
         G = np.zeros((m, m))
         G[1:] = MT[:, :-1].T
         G *= np.sqrt(dtf)[:, None]
@@ -896,19 +925,21 @@ class TestTailLadder:
         # a Tabulated identity vol has the Linear vol's law but takes the
         # GEMM route: each p_hat within 4 combined SE, on independent seeds.
         # 16 fine steps make an O(1 / m) slip, such as a right-endpoint vol,
-        # show: it moves these p_hats by 11 to 14 SE
+        # show: it moves these p_hats by 11 to 14 SE. H = 1/2 steps on the
+        # 16-node grid itself, with a lower level for its smaller SmallTime noise
         monkeypatch.setattr(model, "_N_FINE", 16)
         ident = model.VolFunction(kind="Tabulated", b=0.75, sigma_fn=lambda y: y,
                                   sigma_tilde_fn=lambda y: y)
         scheme = RescalingScheme(kind, b=0.75)
-        ladders = []
-        for vol, seed in ((linear_vol(b=0.75), 12), (ident, 13)):
-            params = ModelParams(lam=0.3, rho=0.0, hurst=HurstParams(0.3), vol=vol)
-            ladders.append(tail_ladder(params, uniform_law(0.2, 0.6), scheme, [0.7, 0.5],
-                                       TimeGrid.uniform(16), 100_000, seed, 0.3)[0])
-        for lin, gemm in zip(*ladders):
-            assert 0.01 < gemm.p_hat < 0.99
-            assert abs(lin.p_hat - gemm.p_hat) <= 4.0 * math.hypot(lin.std_err, gemm.std_err)
+        for H, level in ((0.3, 0.3), (0.5, 0.2)):
+            ladders = []
+            for vol, seed in ((linear_vol(b=0.75), 12), (ident, 13)):
+                params = ModelParams(lam=0.3, rho=0.0, hurst=HurstParams(H), vol=vol)
+                ladders.append(tail_ladder(params, uniform_law(0.2, 0.6), scheme, [0.7, 0.5],
+                                           TimeGrid.uniform(16), 100_000, seed, level)[0])
+            for lin, gemm in zip(*ladders):
+                assert 0.01 < gemm.p_hat < 0.99
+                assert abs(lin.p_hat - gemm.p_hat) <= 4.0 * math.hypot(lin.std_err, gemm.std_err)
 
     @pytest.mark.parametrize("rho", [0.0, -0.4])
     def test_eps_zero_point_is_deterministic(self, rho):
@@ -1042,9 +1073,12 @@ class TestTailProbabilityAndSlope:
         params = ModelParams(lam=0.0, beta=-1.0, xi=1.0, rho=0.0,
                              vol=constant_vol(1.0, b=1.0))
         scheme = RescalingScheme(SchemeKind.TAILS, b=1.0)
-        fit = ldp_slope(params, point_law(0.0), scheme, [0.7, 0.6, 0.5, 0.1], 1.0,
+        # rho = 0 with a constant vol: each path's q is the closed form
+        # P(N(-1/2, eps^2) >= 1), which underflows to exactly 0 at eps = 0.02
+        fit = ldp_slope(params, point_law(0.0), scheme, [0.7, 0.6, 0.5, 0.02], 1.0,
                         2000, seed=2)
-        assert fit.censored[-1]  # P at eps = 0.1 is ~1e-51, unobservable
+        assert fit.p_hats[-1] == 0.0
+        assert fit.censored[-1]
         assert fit.h_log_p[-1] is None
         assert all(not c for c in fit.censored[:2])
 

@@ -76,15 +76,6 @@ class TestSampleFbm:
 
 
 class TestSampleFou:
-    def test_gram_constructions_identical(self):
-        # CovFactor and KernelDriven share the exact Gram factorization
-        g = TimeGrid.uniform(6)
-        a = sample_fou(0.3, -1.0, 1.0, g, 100, seed=2,
-                       construction=FouConstruction.COV_FACTOR)
-        b = sample_fou(0.3, -1.0, 1.0, g, 100, seed=2,
-                       construction=FouConstruction.KERNEL_DRIVEN)
-        assert np.array_equal(a.values, b.values)
-
     def test_covariance_matches_gram(self):
         g = TimeGrid.uniform(5)
         spec = KernelSpec(KernelKind.F_FOU, HurstParams(0.7), beta=-1.0, xi=1.0)
