@@ -748,18 +748,31 @@ class TestTailEstimate:
 
     def test_memory_is_per_block(self, monkeypatch):
         # (n_paths x n) arrays of X and Y would take 2 * 100k * 32 * 8 B = 51 MB;
-        # two workers hold one 2048-row block each (about 6 MB apiece) and
-        # Theta. At H = 1/2 and rho != 0 the 200k paths' X and Y would take 102 MB
+        # two workers hold one 2048-row block each (about 6 MB apiece) and Theta
         monkeypatch.setattr(model, "_WORKERS", 2)
-        for H, rho, n_paths in ((0.3, 0.0, 100_000), (0.5, 0.0, 100_000), (0.5, -0.4, 200_000)):
-            args = self._args(rho=rho, n_paths=n_paths, H=H, n=32)
+        args = self._args(rho=0.0, n_paths=100_000, n=32)
+        tracemalloc.start()
+        try:
+            tail_estimate(*args, seed=3, level=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6
+
+    def test_h_half_memory_is_per_path(self, monkeypatch):
+        # H = 1/2 runs the same block engine: the (n_paths x n) X and Y of
+        # 200k paths at n = 32 would take 102 MB, where two workers' blocks,
+        # Theta and the running X_T stay well under 15 MB
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        for rho, n_paths in ((0.0, 100_000), (-0.4, 200_000)):
+            args = self._args(rho=rho, n_paths=n_paths, H=0.5, n=32)
             tracemalloc.start()
             try:
                 tail_estimate(*args, seed=3, level=0.0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 17e6
+            assert peak < 15e6
 
     def test_gaussian_control_is_exact(self):
         # constant vol c at rho = 0: every path has X_T ~ N(-c^2 / 2, eps^{2b} c^2),
