@@ -447,12 +447,13 @@ _ROW_BLOCK = 2048
 # m = 128, and up to more at smaller m: 75 rows for the (2m, m) GEMM of
 # H = 1/2 on a 16-node grid at rho != 0), so a remainder of fewer than
 # _TILE // 2 rows joins the last tile, and no tile is cut below 128 rows
-# unless its block is shorter. One exception was measured: at
-# rho = 0 with m > 244 simulation nodes and a vol that is not Linear (a
-# Linear vol's moments are summed row by row), OpenBLAS forms a whole
-# block's and a tile's terminal (mean | var) with different kernels, and
-# tail estimates move in the last bits. This bounds the memory a tail
-# estimate holds. 256 ran as fast as 512 and faster than 128 or whole blocks.
+# unless its block is shorter. OpenBLAS also rounds the last rows of a
+# GEMM's last columns with the row count when there are 198 or more output
+# columns and their number is not a multiple of 8, so the Y noise GEMM's
+# output is padded with zero columns to a multiple of 8. A tail estimate's
+# (mean | var) is summed row by row, with no BLAS. This bounds the memory a
+# tail estimate holds. 256 ran as fast as 512 and faster than 128 or whole
+# blocks.
 _TILE = 256
 
 # Fine-grid steps of the H != 1/2 simulation over (0, T]; H = 1/2 steps on
@@ -467,32 +468,57 @@ except AttributeError:  # no CPU affinity on this platform
 
 
 def _joint_bm_fbm_cholesky(H: float, t: np.ndarray, rho: float, beta: float = 0.0):
-    """Lower-triangular factor L of the joint law of (Wbar, Y) at t_1..t_n,
-    Wbar first: Z @ L.T has that law for standard normal rows Z.
+    """Factor L of the joint law of (B, Y) at t_1..t_n, B first: Z @ L.T
+    has that law for standard normal rows Z.
 
     Y_t = int_0^t F(t, s) dB_s with F the F_fou kernel at (H, beta), unit
     xi: W^H at beta = 0, and the OU integral int_0^t e^{beta(t-s)} dB_s at
-    H = 1/2. Wbar = rho B + rho_bar B' is the Euler driver and B' an
-    independent Brownian motion. Wbar's increment over panel k is
-    sqrt(dt_k) Z_k. Cov(Y_tj, dB_k) is the operator matrix A[j, k] of F, so
-    Y = U Z_{:n} + L22 Z_{n:} with U = rho A diag(dt)^{-1/2} and L22 the
-    Cholesky factor of G - U U^T, G the Gram matrix of F (closed form at
-    beta = 0). At rho = 0, U is exactly 0 and no operator matrix is built.
+    H = 1/2. B's increment over panel k is sqrt(dt_k) Z_k, and
+    Y = U Z_{:n} + L22 Z_{n:}. Cov(Y_tj, dB_k) is the operator matrix
+    A[j, k] of F, so U = A diag(dt)^{-1/2} and L22 is a square root of
+    S = G - U U^T, G the Gram matrix of F (closed form at beta = 0). S is
+    nearly singular for H near 1/2, so L22 = Q diag(sqrt(lambda)) from its
+    eigendecomposition. Negative eigenvalues, which rounding and the
+    operator matrix's quadrature leave there, are set to 0 with a
+    RuntimeWarning that names the most negative. The factor does not depend
+    on rho, only on whether it is 0: at rho = 0 X does not read B, so U = 0,
+    L22 = chol(G) and no operator matrix is built.
+
+    At H = 1/2 the factor is closed form at every rho. Y_tj sums
+    E[j, k] I_k over panels k <= j, with E[j, k] = e^{beta(t_j - t_k)} and
+    I_k = int_{panel k} e^{beta(t_k - s)} dB_s, whose variance is
+    w_k = expm1(2 beta dt_k) / (2 beta) and whose covariance with dB_k is
+    a_k = expm1(beta dt_k) / beta (both dt_k at beta = 0). So
+    U = E * (a / sqrt(dt)) and L22 = E * sqrt(w - a^2 / dt), or
+    L22 = E * sqrt(w) at rho = 0.
     """
-    key = (H, tuple(t), rho, beta)
+    key = (H, tuple(t), rho != 0.0, beta)
     if key in _joint_chol_cache:
         return _joint_chol_cache[key]
     n = t.size
     dt = np.diff(t, prepend=0.0)
-    grid = TimeGrid(nodes=tuple(t), weights=tuple(dt))
-    spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta)
-    U = np.zeros((n, n))
-    if rho:
-        U = rho * operator_matrix(spec, grid) / np.sqrt(dt)
     L = np.zeros((2 * n, 2 * n))
     L[:n, :n] = np.tril(np.broadcast_to(np.sqrt(dt), (n, n)))
-    L[n:, :n] = U
-    L[n:, n:] = _stable_cholesky(gram_matrix(spec, grid) - U @ U.T)
+    if H == 0.5:
+        # the exponent is clipped at 0 above the diagonal, which tril drops
+        E = np.tril(np.exp(beta * np.maximum(t[:, None] - t, 0.0)))
+        a, w = (np.expm1(r * dt) / r if r else dt for r in (beta, 2.0 * beta))
+        if rho:
+            L[n:, :n] = E * (a / np.sqrt(dt))
+            w = np.maximum(w - a * (a / dt), 0.0)  # rounding of a w - a^2 / dt near 0
+        L[n:, n:] = E * np.sqrt(w)
+    else:
+        grid = TimeGrid(nodes=tuple(t), weights=tuple(dt))
+        spec = KernelSpec(KernelKind.F_FOU, HurstParams(H), beta=beta)
+        if not rho:
+            L[n:, n:] = _stable_cholesky(gram_matrix(spec, grid))
+        else:
+            U = L[n:, :n] = operator_matrix(spec, grid) / np.sqrt(dt)
+            lam, Q = np.linalg.eigh(gram_matrix(spec, grid) - U @ U.T)
+            if lam[0] < 0.0:
+                warnings.warn(f"covariance matrix has negative eigenvalues down to {lam[0]:.3e} "
+                              f"(largest {lam[-1]:.3e}); they were set to 0", RuntimeWarning)
+            L[n:, n:] = Q * np.sqrt(np.maximum(lam, 0.0))
     _joint_chol_cache[key] = L
     return L
 
@@ -527,26 +553,24 @@ def simulate(
     n_paths: int,
     seed,
     allow_coarse: bool = False,
-    n_fine: int = _N_FINE,
 ):
     """Simulate the rescaled pair (X^eps, Y^eps) on the grid.
 
-    Y^eps is drawn on a simulation grid of m nodes, jointly with the Euler
-    driver Wbar = rho B + rho_bar B', where B drives the volatility (see
-    _simulate_general). For H = 1/2 the simulation grid is the grid itself
-    (m = n, `n_fine` unused), the OU integral is drawn from its exact joint
-    factor and Y^eps is exact in law at the nodes. For H != 1/2, W^H is drawn
-    on an internal fine grid of m nodes and the fOU integral is evaluated by
-    the integration-by-parts identity there: with the default m = 128 the
-    largest error of Y's covariance at the grid nodes, relative to the
-    largest entry, is 7.5e-4 at H = 0.1, 9.4e-5 at H = 0.3 and 2.6e-5 at
-    H = 0.7 (against m = 8192). X^eps is Euler-Maruyama with the vol at each
-    step's left end. With rho != 0, (Wbar, Y) is drawn jointly from 2m
-    standard normals per path whose first m drive Wbar. With rho = 0, Wbar
-    is independent of the volatility, so each path draws m normals for Y and
-    n more, one per grid panel, for X's increment over that panel from its
-    exact Gaussian law given the volatility path: the same law as the Euler
-    sum over the panel's steps.
+    Y^eps is drawn on a simulation grid of m nodes, jointly with the
+    Brownian motion B that drives it (see _simulate_general). For H = 1/2
+    the simulation grid is the grid itself (m = n), the OU integral is drawn
+    from its exact joint factor and Y^eps is exact in law at the nodes. For
+    H != 1/2, W^H is drawn on an internal fine grid of m nodes (the grid's
+    nodes and _N_FINE uniform steps) and the fOU integral is evaluated by
+    the integration-by-parts identity there: with 128 fine steps the largest
+    error of Y's covariance at the grid nodes, relative to the largest
+    entry, is 7.5e-4 at H = 0.1, 9.4e-5 at H = 0.3 and 2.6e-5 at H = 0.7
+    (against m = 8192). X^eps is Euler-Maruyama with the vol at each step's
+    left end, driven by Wbar = rho B + rho_bar B' with B' independent. Each
+    path draws n normals, one per grid panel, for X's increment over that
+    panel from its exact Gaussian law given the drivers of Y: the same law
+    as the Euler sum over the panel's steps. Then it draws m normals for Y
+    at rho = 0, and 2m at rho != 0, whose first m are B's increments.
     Returns (x_batch, y_batch) as GaussianPathBatch objects.
     """
     rng, theta, points = _prepare(params, law, scheme, [eps], grid, n_paths, seed, allow_coarse)
@@ -557,7 +581,7 @@ def simulate(
         x[lo:hi] = xb
         y[lo:hi] = yb
 
-    _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, store)
+    _simulate_general(params, grid, n_paths, rng, theta, points, store)
     s = seed_label(seed)
     return GaussianPathBatch(values=x, grid=grid, seed=s), GaussianPathBatch(values=y, grid=grid, seed=s)
 
@@ -586,19 +610,20 @@ def _prepare(params, law, scheme, eps_ladder, grid, n_paths, seed, allow_coarse)
     return rng, theta, points
 
 
-def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, terminal=False):
+def _simulate_general(params, grid, n_paths, rng, theta, points, sink, terminal=False):
     """Simulation of each point of an eps ladder (`points`, from _prepare),
     handed to `sink` block by block; the one route of `simulate` and the tail
-    estimators at every H.
+    estimators at every H and rho.
 
-    The simulation grid t_1..t_m is the union of the grid with n_fine
+    The simulation grid t_1..t_m is the union of the grid with _N_FINE
     uniform steps at H != 1/2, and the grid itself (m = n) at H = 1/2. Y's
     noise at a point is noise_scale times the OU-type integral
     Z_t = int_0^t F(t, s) dB_s at the point's beta_eff. At H != 1/2,
-    _joint_bm_fbm_cholesky factors (Wbar, W^H) and F maps W^H to Z by the
+    _joint_bm_fbm_cholesky factors (B, W^H) and F maps W^H to Z by the
     trapezoid by-parts identity on the fine grid. At H = 1/2 it factors
-    (Wbar, Z) itself at the point's beta_eff, exactly, and F is the
-    identity. [U, L22] are the factor's Y rows.
+    (B, Z) itself at the point's beta_eff, exactly, and F is the identity.
+    [U, L22] are the factor's Y rows; at rho = 0, where U = 0, the
+    simulation reads L22 alone.
 
     Paths are simulated in blocks of _ROW_BLOCK rows (the last block is
     shorter). Block b draws one array of standard normals Z from the b-th
@@ -606,27 +631,26 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     of the random-number layout and the paths are a function of the seed and
     n_paths only. Every point reads the same Theta and Z with the same
     arithmetic, whatever else the ladder holds, so it equals a one-point run
-    at the same seed bit for bit. Per point, Z's last m columns, and with
-    rho != 0 all of them, enter one GEMM with (F [U, L22])^T; the point
-    scales the product by its noise_scale to get its Y noise. (`tail_ladder`
-    runs a Tails ladder with a homogeneous vol as the single point eps = 1.)
-    X's increments are summed over each coarse panel through the 0/1
-    step -> panel matrix P (the identity at H = 1/2) and cumulated over the
-    panels.
+    at the same seed bit for bit. Z's first nx columns are X's normals, one
+    per coarse panel (nx = n), or none with `terminal` (nx = 0). At
+    rho != 0 its next m columns are zeta, B's increments
+    dB_k = sqrt(dt_k) zeta_k. Per point, the columns from nx on enter one
+    GEMM with (F [U, L22])^T; the point scales the product by its
+    noise_scale to get its Y noise. (`tail_ladder` runs a Tails ladder with
+    a homogeneous vol as the single point eps = 1.)
 
-    rho != 0: Z is (rows, 2m); its first m columns give the Euler driver's
-    increments dWbar_k = sqrt(dt_k) Z_k, and the fine Euler increments
-    dx_k = dw_coef_k s_k Z_k + drift_k s_k^2, with left-endpoint vol s, are
-    summed as dx @ P.
-
-    rho = 0: Wbar is independent of Y, so given the vol path a panel's sum
-    of Euler increments is exactly Gaussian, with mean sum drift_k s_k^2 and
-    variance sum dw_coef_k^2 s_k^2 over its steps. Z is (rows, n + m);
-    one GEMM of s^2 with [drift P | dw_coef^2 P] gives (mean | var), and the
-    panel increment is mean + sqrt(var) Z_j for the first n columns. With
-    `terminal` the only panel is (0, T] and no X normal is drawn: Z is
-    (rows, m), and each point ends at each path's (mean | var), the exact
-    conditional law N(mean, var) of X_T given its vol path.
+    X: Wbar = rho B + rho_bar B' with B' independent of Y, so given Z a
+    panel's sum of Euler increments is exactly Gaussian (Romano-Touzi), with
+    mean sum (drift_k s_k^2 + rho dw_coef_k s_k zeta_k) and variance
+    rho_bar^2 sum dw_coef_k^2 s_k^2 over its steps, s the left-endpoint vol.
+    With P the 0/1 step -> panel matrix (the identity at H = 1/2),
+    (mean | var) = s^2 [drift P | rho_bar^2 dw_coef^2 P], to whose mean
+    rho != 0 adds (s zeta) (rho dw_coef P); rho_bar^2 is exactly 1 at
+    rho = 0. The panel increment is mean + sqrt(var) Z_j; the increments
+    are cumulated over the panels. With `terminal` the only panel is (0, T],
+    no X normal is drawn, each row's (mean | var) is summed row by row
+    (einsum, not BLAS, so a row's bits do not depend on its tile) and each
+    point ends at the exact conditional law N(mean, var) of X_T.
 
     rho = 0 with `terminal` and a Linear vol: (mean | var) =
     (drift_coef V, xnoise_coef^2 V) with V = sum_k dtf_k y_k^2, and no GEMM
@@ -643,61 +667,48 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
     block-sized draw; every step above works on one tile at a time.
     Without `terminal`, each tile calls sink(lo, hi, x, y) once per point with
     rows lo:hi of X and Y at the grid nodes. With `terminal` each tile writes
-    its rows of the block's X_T or (mean | var), and the block calls
-    sink(lo, hi, x, None) once, after its last tile, with x the (k, rows)
-    X_T of the k points at rho != 0 and their (k, rows, 2) (mean | var) at
-    rho = 0. These are the worker's own arrays, which its next tile or block
-    overwrites, so the sink copies or reduces them before it returns.
+    its rows of the block's (mean | var), and the block calls
+    sink(lo, hi, x, None) once, after its last tile, with x the (k, rows, 2)
+    (mean | var) of the k points. These are the worker's own arrays, which
+    its next tile or block overwrites, so the sink copies or reduces them
+    before it returns.
 
     Blocks run on up to _WORKERS threads, worker w taking blocks w,
     w + workers, ... and writing every step into arrays it allocates once
-    (numpy's RNG fill, BLAS and ufuncs release the GIL): at rho = 0 with
-    `terminal`, Z, Y (Z^2 on the Linear route) and the GEMM product of one
-    tile and the block's (mean | var), whatever the ladder's length. A
-    point's GEMM product holds its scaled noise and then, at rho != 0, its
-    fine Euler steps. The worker
-    count does not change the result, nor, with the exception at _TILE, the
-    tile size; the Linear route's sums are per row, so its exception does not
-    apply there. The sink, and a Tabulated vol's user callables, run on worker
-    threads, concurrently.
+    (numpy's RNG fill, BLAS and ufuncs release the GIL): Z, Y then s^2 (Z^2
+    on the Linear route) and the GEMM product then s zeta of one tile, and
+    with `terminal` the block's (mean | var), whatever the ladder's length. Neither the
+    worker count nor the tile size changes the result. The sink, and a
+    Tabulated vol's user callables, run on worker threads, concurrently.
     """
     H = params.hurst.H
+    rho = params.rho
     # at H = 1/2 the factor draws each point's OU integral exactly, on the
     # caller's grid; otherwise it draws W^H on the fine grid
     half = H == 0.5
     t_coarse = grid.t
     n = grid.n
-    T = t_coarse[-1]
     t_fine = t_coarse if half else np.unique(
-        np.concatenate([np.linspace(0.0, T, n_fine + 1)[1:], t_coarse]))
+        np.concatenate([np.linspace(0.0, t_coarse[-1], _N_FINE + 1)[1:], t_coarse]))
     m = t_fine.size
     k = len(points)
     dtf = np.diff(t_fine, prepend=0.0)
-    pathwise = params.rho != 0.0
-    # at rho = 0 with `terminal`, a point ends at X_T's conditional moments
-    moments = terminal and not pathwise
     # P[k, j] = 1 when fine step k, (t_fine[k-1], t_fine[k]], lies in panel j
-    if moments:
-        P = np.ones((m, 1))
-    else:
-        P = (np.searchsorted(t_coarse, t_fine)[:, None] == np.arange(n)).astype(float)
-    nx = P.shape[1]
-    # Z's first `width - m` columns drive X; the columns from `first` on give
-    # the Y noise through the Y rows of the factor
-    if pathwise:
-        width, first = 2 * m, 0
-    else:
-        # one normal per panel for X, none when the sink takes X_T's moments
-        first = 0 if moments else nx
-        width = first + m
+    P = np.ones((m, 1)) if terminal else \
+        (np.searchsorted(t_coarse, t_fine)[:, None] == np.arange(n)).astype(float)
+    # Z's first nx columns drive X, one per panel (none for X_T's moments);
+    # the columns from nx on give the Y noise, and at rho != 0 the first m
+    # of them are zeta
+    nx = 0 if terminal else n
+    width = nx + (2 * m if rho else m)
     # a Linear vol's (mean | var) from V in the SVD basis of its noise map
-    spectral = moments and params.vol.kind is VolKind.LINEAR
+    spectral = terminal and not rho and params.vol.kind is VolKind.LINEAR
     consts = []
     for beta_eff, start_scale, lam_term_coef, noise_scale, drift_coef, xnoise_coef, svol in points:
         # Y less its noise, at t = 0 and at the fine nodes, is theta * y_start + y_lam
         ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine]))
-        L = _joint_bm_fbm_cholesky(H, t_fine, params.rho, beta_eff if half else 0.0)
-        LW = L[m:] if pathwise else L[m:, m:]
+        L = _joint_bm_fbm_cholesky(H, t_fine, rho, beta_eff if half else 0.0)
+        LW = L[m:] if rho else L[m:, m:]
         MT = (LW if half else _by_parts_matrix(t_fine, beta_eff) @ LW).T
         if spectral:
             s, a1, a0 = _linear_vol_spectrum(MT, dtf, start_scale * ebt[:-1],
@@ -706,11 +717,15 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
             consts.append((s * s, np.vstack([2.0 * s * a1, 2.0 * s * a0]),
                            a1 @ a1, 2.0 * a1 @ a0, a0 @ a0, drift_coef, xnoise_coef**2))
             continue
+        # zero columns pad the Y noise GEMM to a multiple of 8 columns (see _TILE)
+        MT = np.hstack([MT, np.zeros((MT.shape[0], -m % 8))])
         dw_coef = xnoise_coef * np.sqrt(dtf)
-        drift = drift_coef * dtf
-        MV = None if pathwise else np.hstack([drift[:, None] * P, (dw_coef * dw_coef)[:, None] * P])
-        consts.append((MT, start_scale * ebt, lam_term_coef * (1.0 - ebt), noise_scale, dw_coef,
-                       drift, MV, svol))
+        MV = np.hstack([(drift_coef * dtf)[:, None] * P,
+                        ((1.0 - rho * rho) * dw_coef * dw_coef)[:, None] * P])
+        MZ = (rho * dw_coef)[:, None] * P
+        # einsum's "ij,kj->ik" takes MV^T
+        consts.append((MT, start_scale * ebt, lam_term_coef * (1.0 - ebt), noise_scale,
+                       (np.ascontiguousarray(MV.T), MZ[:, 0]) if terminal else (MV, MZ), svol))
     gather = np.searchsorted(t_fine, t_coarse) + 1
     nb = -(-n_paths // _ROW_BLOCK)
     streams = rng.spawn(nb)
@@ -723,11 +738,11 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
         # Y at t = 0 and the fine nodes, and the Y noise; on the spectral
         # route Z^2, and V with Z's two linear terms
         y_w = np.empty((R, m if spectral else m + 1))
-        f_w = np.empty((R, 3) if spectral else (R, m))
-        t_w = np.empty((k, B, 2) if moments else (k, B)) if terminal else None
-        # (mean | var) at rho = 0, the panel sums dx @ P otherwise
-        d_w = None if moments else np.empty((R, nx if pathwise else 2 * nx))
-        x_w = None if moments else np.empty((R, nx))
+        f_w = np.empty((R, 3) if spectral else (R, m + -m % 8))
+        t_w = np.empty((k, B, 2)) if terminal else None
+        # the panels' (mean | var), X and Y at the grid nodes
+        d_w = None if terminal else np.empty((R, 2 * n))
+        x_w = None if terminal else np.empty((R, n))
         g_w = None if terminal else np.empty((R, n))
         for b in range(w, nb, workers):
             lo, hi = b * _ROW_BLOCK, min(n_paths, (b + 1) * _ROW_BLOCK)
@@ -751,9 +766,8 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
                         np.multiply(V, drift_coef, out=t_w[i, rows, 0])
                         np.multiply(V, var_coef, out=t_w[i, rows, 1])
                     continue
-                for i, (MT, y_start, y_lam, noise_scale, dw_coef, drift, MV, svol) in enumerate(consts):
-                    # the point's Y noise, then (rho != 0) its fine Euler steps
-                    f = np.matmul(Z[:, first:], MT, out=f_w[:r])
+                for i, (MT, y_start, y_lam, noise_scale, (MV, MZ), svol) in enumerate(consts):
+                    f = np.matmul(Z[:, nx:], MT, out=f_w[:r])[:, :m]
                     f *= noise_scale
                     np.multiply(theta[tlo:thi, None], y_start, out=yb)
                     yb += y_lam
@@ -761,29 +775,23 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, n_fine, sink, t
                     sv = svol(yb[:, :-1])
                     if not terminal:
                         y = np.take(yb, gather, axis=1, out=g_w[:r])
-                    if pathwise:
-                        # Euler X on the fine grid
-                        dx = np.multiply(Z[:, :m], dw_coef, out=f)
-                        dx *= sv
+                    if rho:  # s zeta, in the Y noise's place
+                        sz = np.multiply(sv, Z[:, nx:nx + m], out=f)
                     # Y is not read from here on (a Linear vol's sv is a view of it)
                     s2 = np.multiply(sv, sv, out=yb[:, :-1])
-                    if moments:
-                        np.matmul(s2, MV, out=t_w[i, rows])
-                        continue
-                    d = d_w[:r]
-                    if pathwise:
-                        s2 *= drift
-                        dx += s2
-                        x = np.cumsum(np.matmul(dx, P, out=d), axis=1, out=x_w[:r])
-                    else:
-                        np.matmul(s2, MV, out=d)
-                        x = np.multiply(Z[:, :nx], np.sqrt(d[:, nx:], out=d[:, nx:]), out=x_w[:r])
-                        x += d[:, :nx]
-                        np.cumsum(x, axis=1, out=x)
                     if terminal:
-                        t_w[i, rows] = x[:, -1]
-                    else:
-                        sink(tlo, thi, x, y)
+                        mv = np.einsum("ij,kj->ik", s2, MV, out=t_w[i, rows])
+                        if rho:
+                            mv[:, 0] += np.einsum("ij,j->i", sz, MZ)
+                        continue
+                    d = np.matmul(s2, MV, out=d_w[:r])
+                    x = x_w[:r]
+                    if rho:
+                        d[:, :n] += np.matmul(sz, MZ, out=x)
+                    np.multiply(Z[:, :n], np.sqrt(d[:, n:], out=d[:, n:]), out=x)
+                    x += d[:, :n]
+                    np.cumsum(x, axis=1, out=x)
+                    sink(tlo, thi, x, y)
             if terminal:
                 sink(lo, hi, t_w[:, :hi - lo], None)
 
@@ -849,18 +857,16 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
     against the level L_i = level eps_i^{-2b}. Every other ladder (SmallTime,
     DiffusiveSmallTime, a Constant vol) simulates each eps as its own point
     with L_i = level. Per path and point, q is
-    - rho = 0: P(X_T >= L_i | vol path) = ndtr((mean - L_i) / sqrt(var)),
-      or 1{mean >= L_i} where var = 0 (conditional Monte Carlo). Given its
-      vol path, X_T is exactly N(mean, var), mean = sum_k drift_k s_k^2 and
-      var = sum_k dw_coef_k^2 s_k^2 over the fine steps, so a path draws
-      only its m normals for Y. q has the expectation of the hit indicator and
-      never a larger variance. With a Linear vol, (mean, var) come from the
-      SVD basis of the vol's noise map (see `_simulate_general`): the same
-      law as the GEMM route's, but other values for a given seed.
-    - rho != 0: 1{X_T >= L_i} on simulate's X_T for the same seed (crude),
-      at eps = 1 for a unit-scale ladder. Given the vol path alone X_T is
-      not Gaussian, because Wbar shares B with Y, and the joint (Wbar, Y)
-      factor gives no factor of the drivers conditioned on B.
+    P(X_T >= L_i | Z) = ndtr((mean - L_i) / sqrt(var)), or 1{mean >= L_i}
+    where var = 0 (conditional Monte Carlo), with Z the path's normals for Y
+    (and at rho != 0 for B, which drives Y). Given them, X_T is exactly
+    N(mean, var): mean = sum_k (drift_k s_k^2 + rho dw_coef_k s_k zeta_k)
+    and var = rho_bar^2 sum_k dw_coef_k^2 s_k^2 over the fine steps (see
+    `_simulate_general`), so a path draws only m normals at rho = 0 and 2m
+    at rho != 0, and none for X. q has the expectation of the hit indicator
+    and never a larger variance. At rho = 0 with a Linear vol, (mean, var)
+    come from the SVD basis of the vol's noise map: the same law as the
+    GEMM route's, but other values for a given seed.
     p_hat is the mean of q and cov the sample covariance of q divided by
     n_paths, so std_err = sqrt(sum_i (q_i - p_hat)^2) / n_paths: for 0/1
     values the binomial sqrt(p_hat (1 - p_hat) / n_paths). Each block keeps
@@ -893,15 +899,13 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
     co_moments = np.zeros((nb, k, k))
 
     def reduce(lo, hi, x, _):
-        # x holds one row per point: one in all for a unit-scale ladder
-        if x.ndim == 2:  # X_T at rho != 0
-            q = (x >= levels).astype(float)
-        else:  # the (mean | var) of X_T at rho = 0
-            gap = x[..., 0] - levels
-            sd = np.broadcast_to(np.sqrt(x[..., 1]), gap.shape)
-            q = (gap >= 0.0).astype(float)
-            pos = sd > 0.0
-            q[pos] = ndtr(gap[pos] / sd[pos])
+        # x holds the (mean | var) of X_T, one row per point: one in all
+        # for a unit-scale ladder
+        gap = x[..., 0] - levels
+        sd = np.broadcast_to(np.sqrt(x[..., 1]), gap.shape)
+        q = (gap >= 0.0).astype(float)
+        pos = sd > 0.0
+        q[pos] = ndtr(gap[pos] / sd[pos])
         # a point's sums run over its own contiguous row, as in a one-point ladder
         b = lo // _ROW_BLOCK
         sums[:, b] = q.sum(axis=1)
@@ -909,7 +913,7 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
         co_moments[b] = q @ q.T
         co_moments[b][np.diag_indices(k)] = np.square(q).sum(axis=1)
 
-    _simulate_general(params, grid, n_paths, rng, theta, points, _N_FINE, reduce, terminal=True)
+    _simulate_general(params, grid, n_paths, rng, theta, points, reduce, terminal=True)
     # Chan et al.'s pairwise update of (count, mean, co-moments)
     count, mean, m2 = 0, np.zeros(k), np.zeros((k, k))
     for b in range(nb):
@@ -918,7 +922,6 @@ def tail_ladder(params: ModelParams, law: InitialLaw, scheme: RescalingScheme, e
         count += rows
         mean += delta * rows / count
         m2 += co_moments[b] + np.outer(delta, delta) * ((count - rows) * rows / count)
-    # the block sums are exact hit counts at rho != 0
     p = sums.sum(axis=1) / n_paths
     ests = [MCEstimate(p_hat=float(p[i]), std_err=math.sqrt(m2[i, i]) / n_paths,
                        n_paths=n_paths, seed=seed_label(seed),

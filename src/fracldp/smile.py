@@ -153,7 +153,11 @@ def mc_smile(params: ModelParams, law: InitialLaw, t: float, strikes, n_paths: i
     forward mean(S_t); method "conditional" (rho = 0 only) averages the exact
     Gaussian conditional price given the vol path, per unit forward. It takes
     the first panel's vol from Y at t_1 where the raw Euler step uses Y at 0,
-    so the two estimands differ in that panel.
+    so the two estimands differ in that panel. At rho != 0 the conditional
+    price given the vol's drivers is the Romano-Touzi mixture
+    E[BS(e^{rho M - rho^2 V / 2}, rho_bar^2 V)] with M = int s(Y) dB, which
+    `simulate`'s (paths, n) arrays do not carry; it needs per-block sinks
+    like `tail_ladder`'s.
 
     Error bars are by the delta method on the per-path values v (payoff or
     conditional price): std(v - N(d1) S_t) / (sqrt(n_paths) vega) with

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -312,8 +313,10 @@ class TestSimulate:
         params = ModelParams(lam=0.3, beta=-1.2, xi=0.8, rho=rho, hurst=HurstParams(H),
                              vol=linear_vol(b=b))
         args = (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=b))
-        y1, y2 = (simulate(*args, e, TimeGrid.uniform(16), 40, seed=3, n_fine=32)[1].values
-                  for e in eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_N_FINE", 32)
+            y1, y2 = (simulate(*args, e, TimeGrid.uniform(16), 40, seed=3)[1].values
+                      for e in eps)
         ref = (eps[0] / eps[1]) ** b * y2
         assert np.max(np.abs(y1 - ref)) <= 1e-12 * np.max(np.abs(y1))
 
@@ -336,7 +339,7 @@ def _stepwise_by_parts(WH, t_fine, beta_eff):
 def _joint_bm_fbm_covariance(H, t):
     """Covariance of (B_{t_1..t_n}, W^H_{t_1..t_n}) where B is the
     Volterra-generating Brownian motion of W^H: the oracle for the factor
-    of (Wbar, W^H) that the simulation draws from."""
+    of (B, W^H) that the simulation draws from."""
     n = t.size
     C = np.empty((2 * n, 2 * n))
     C[:n, :n] = np.minimum.outer(t, t)
@@ -357,7 +360,7 @@ def _joint_bm_ou_covariance(beta, t):
     int_0^t e^{beta(t-u)} dB_u, in closed form: with s = min(t_i, t_j),
     Cov(B_ti, Z_tj) = e^{beta(t_j - s)} expm1(beta s) / beta and
     Cov(Z_ti, Z_tj) = e^{beta |t_i - t_j|} expm1(2 beta s) / (2 beta), each
-    s at beta = 0. The oracle for the H = 1/2 factor of (Wbar, Z)."""
+    s at beta = 0. The oracle for the H = 1/2 factor of (B, Z)."""
     n = t.size
     s = np.minimum.outer(t, t)
 
@@ -370,6 +373,43 @@ def _joint_bm_ou_covariance(beta, t):
     C[n:, :n] = C[:n, n:].T
     C[n:, n:] = np.exp(beta * np.abs(t[:, None] - t[None, :])) * integral(2.0 * beta)
     return C
+
+
+def _euler_reference(params, law, scheme, eps, grid, n_paths, seed, chunk=25_000):
+    """X^eps_T on n_paths paths by the Euler steps of the model, on the
+    simulation grid of `_simulate_general` (the fine grid at H != 1/2, the
+    grid itself at H = 1/2), without running it. The drivers come from a
+    Cholesky factor of the oracle covariance of (Wbar, W^H) built here, or
+    of (Wbar, OU integral) at H = 1/2: Wbar = rho B + rho_bar B' with B'
+    independent, so Cov(Wbar, .) is rho times the cross block of (B, .).
+    W^H becomes the fOU integral by `_stepwise_by_parts`. Each step adds
+    drift_coef s^2 dt + xnoise_coef s dWbar with s the vol at its left end."""
+    H = params.hurst.H
+    beta_eff, start_scale, lam_term, noise_scale, drift_coef, xnoise_coef = \
+        model._scheme_coefficients(params, scheme, eps)
+    t_fine = grid.t if H == 0.5 else _fine_grid(grid.t)
+    m = t_fine.size
+    C = _joint_bm_ou_covariance(beta_eff, t_fine) if H == 0.5 else \
+        _joint_bm_fbm_covariance(H, t_fine)
+    C[:m, m:] *= params.rho
+    C[m:, :m] *= params.rho
+    L = np.linalg.cholesky(C)
+    rng = make_rng(seed)
+    theta = law.resolve(params).sample(n_paths, rng)
+    dtf = np.diff(t_fine, prepend=0.0)
+    ebt = np.exp(beta_eff * np.concatenate([[0.0], t_fine[:-1]]))
+    x = np.empty(n_paths)
+    for lo in range(0, n_paths, chunk):
+        th = theta[lo:lo + chunk]
+        J = rng.standard_normal((th.size, 2 * m)) @ L.T
+        dw = np.diff(J[:, :m], axis=1, prepend=0.0)
+        Z = J[:, m:] if H == 0.5 else _stepwise_by_parts(J[:, m:], t_fine, beta_eff)
+        # Y at t = 0 and at the fine nodes but the last: each step's left end
+        y = th[:, None] * (start_scale * ebt) + lam_term * (1.0 - ebt)
+        y[:, 1:] += noise_scale * Z[:, :-1]
+        s = params.vol.scaled(y, eps, scheme.b)
+        x[lo:lo + chunk] = np.sum(drift_coef * s * s * dtf + xnoise_coef * s * dw, axis=1)
+    return x
 
 
 def _cross_block_nested_quadrature(H, t):
@@ -400,9 +440,15 @@ CROSS_DIAG_ORACLE = {
 }
 
 
+def _fine_grid(t):
+    """The simulation grid of `_simulate_general` at H != 1/2: the grid's
+    nodes and _N_FINE uniform steps (252 nodes for a 125-node grid)."""
+    return np.unique(np.concatenate([np.linspace(0.0, t[-1], model._N_FINE + 1)[1:], t]))
+
+
 class TestJointCovariance:
     """Joint law of (B, W^H) on the fine grid of the H != 1/2 simulation,
-    and the factor of (Wbar, W^H) drawn from it. The diagonal panels of the
+    and the factor of (B, W^H) drawn from it. The diagonal panels of the
     K^H operator matrix are exact to roundoff at every H (incomplete-beta
     form, no clipped nodes), so the cross block holds 1e-13 even at H = 0.1,
     where clipping nodes at s <= t(1 - 1e-15) had cost ~4e-10 relative."""
@@ -428,22 +474,43 @@ class TestJointCovariance:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_factors_without_jitter(self, monkeypatch, H):
-        # a jitter fallback in _stable_cholesky warns, which fails here; at
-        # H = 1/2 the factor of (Wbar, OU integral) at rates from 0 to -200
+        # _stable_cholesky's jitter (rho = 0) and the clipped eigenvalues of
+        # the rho != 0 square root warn, which fails here: on the 128-node grid
+        # and on the 252-node fine grid of a 125-node grid. At H = 1/2 the
+        # closed-form factor of (B, OU integral) at rates from 0 to -200
         monkeypatch.setattr(model, "_joint_chol_cache", {})
-        for beta in (0.0, -1e-8, -1e-3, -1.0, -20.0, -200.0) if H == 0.5 else (0.0,):
-            for rho in (0.0, 0.9, -0.999):
-                model._joint_bm_fbm_cholesky(H, TimeGrid.uniform(128).t, rho, beta)
+        for t in (TimeGrid.uniform(128).t, _fine_grid(TimeGrid.uniform(125).t)):
+            for beta in (0.0, -1e-8, -1e-3, -1.0, -20.0, -200.0) if H == 0.5 else (0.0,):
+                for rho in (0.0, 0.9, -0.999):
+                    model._joint_bm_fbm_cholesky(H, t, rho, beta)
+
+    @pytest.mark.parametrize("d", [-1e-3, -1e-5, -1e-9, 1e-9, 1e-5, 1e-3])
+    def test_factor_near_h_half(self, monkeypatch, d):
+        # as H -> 1/2, W^H -> B and S = G - U U^T -> 0: rounding and the
+        # operator matrix's quadrature leave negative eigenvalues in S (down
+        # to -6.9e-10 at H = 0.499 on the 252-node grid), where a Cholesky
+        # factor fails. The factor neither raises nor jitters: it sets them to
+        # 0 and names the most negative in a RuntimeWarning
+        monkeypatch.setattr(model, "_joint_chol_cache", {})
+        for t in (TimeGrid.uniform(128).t, _fine_grid(TimeGrid.uniform(125).t)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                err = self._factor_error(0.5 + d, -0.4, t)
+            assert err <= 1e-9
+            for w in seen:
+                assert w.category is RuntimeWarning
+                assert "negative eigenvalues down to -" in str(w.message)
 
     @staticmethod
     def _factor_error(H, rho, t, beta=0.0):
-        """max |L L^T - C| / max |C|, with C the oracle for (Wbar, Y):
-        Cov(Wbar, Wbar) = min, Cov(Wbar, Y) = rho times the cross block. Y is
-        W^H, or at H = 1/2 the OU integral at rate beta."""
+        """max |L L^T - C| / max |C|, with C the oracle for (B, Y):
+        Cov(B, B) = min and Cov(B, Y) the cross block, which is 0 at
+        rho = 0, where X does not read B. Y is W^H, or at H = 1/2 the OU
+        integral at rate beta."""
         n = t.size
         C = _joint_bm_ou_covariance(beta, t) if H == 0.5 else _joint_bm_fbm_covariance(H, t)
-        C[:n, n:] *= rho
-        C[n:, :n] *= rho
+        if not rho:
+            C[:n, n:] = C[n:, :n] = 0.0
         L = model._joint_bm_fbm_cholesky(H, t, rho, beta)
         return np.max(np.abs(L @ L.T - C)) / np.max(np.abs(C))
 
@@ -468,7 +535,7 @@ class TestJointCovariance:
     @pytest.mark.parametrize("rho", [0.0, -0.5, 0.9])
     @pytest.mark.parametrize("beta", [0.0, -1e-3, -1.5, -20.0])
     def test_h_half_factor_is_exact(self, beta, rho):
-        # the factor of (Wbar, OU integral) at each point's beta_eff
+        # the closed-form factor of (B, OU integral) at each point's beta_eff
         for n in (16, 128):
             assert self._factor_error(0.5, rho, TimeGrid.uniform(n).t, beta) <= 1e-13
 
@@ -487,8 +554,8 @@ class TestRoughSimulationLayout:
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
     @pytest.mark.parametrize("kind", [SchemeKind.TAILS, SchemeKind.SMALL_TIME])
     def test_linear_map_matches_stepwise(self, H, kind):
-        # the Y noise GEMM of _simulate_general and its closed-form Wbar
-        # increments, against W^H and Wbar from the factor step by step
+        # the Y noise GEMM of _simulate_general and its closed-form B
+        # increments, against W^H and B from the factor step by step
         params = ModelParams(beta=-1.3, xi=0.8, rho=-0.5, hurst=HurstParams(H),
                              vol=linear_vol(b=0.75))
         beta_eff, _, _, noise_scale, _, _ = model._scheme_coefficients(
@@ -550,7 +617,7 @@ class TestRoughSimulationLayout:
     def test_first_block_is_prefix_stable_rho_zero(self):
         self._check_prefix_stable(rho=0.0)
 
-    def test_rho_zero_panel_moments_match_fine_sums(self):
+    def test_rho_zero_panel_moments_match_fine_sums(self, monkeypatch):
         # at rho = 0, X's increment over coarse panel j is mean_j + sqrt(var_j) Z_j,
         # with (mean | var) from one GEMM; here they are summed over the
         # panel's fine steps one by one, from the vol the simulation used. The
@@ -568,7 +635,8 @@ class TestRoughSimulationLayout:
         scheme = RescalingScheme(SchemeKind.TAILS, b=b)
         t = (np.arange(1, 17) / 16.0) ** 2
         grid = TimeGrid(nodes=tuple(t), weights=tuple(np.diff(t, prepend=0.0)))
-        xb, _ = simulate(params, point_law(0.1), scheme, eps, grid, rows, seed=6, n_fine=n_fine)
+        monkeypatch.setattr(model, "_N_FINE", n_fine)
+        xb, _ = simulate(params, point_law(0.1), scheme, eps, grid, rows, seed=6)
         # one block, its tiles' calls in row order: the vol at the fine steps' left ends
         sv2 = (eps**b * np.concatenate(seen)) ** 2
         # a Point law draws nothing, so block 0 reads child stream 0 of the seed
@@ -595,20 +663,25 @@ class TestRoughSimulationLayout:
         # A last block of 257 or 261 rows leaves a 1- or 5-row remainder after
         # 256- and 32-row tiles, which joins the last tile (BLAS rounds a
         # GEMM of so few rows differently); a block of 1 row is one tile.
-        # The 125-node grid has m = 252 fine nodes at H = 0.3, past the
-        # m > 244 at which the GEMM route's (mean | var) depends on the tile
-        # at rho = 0. H = 1/2 runs on the grid itself (m = 16 and 125), where
-        # OpenBLAS rounds GEMMs of up to 75 rows differently (see _TILE), so
-        # its small tiles have 128 rows, the fewest the default tile cuts
+        # The 125-node grid has m = 252 fine nodes at H = 0.3; there a BLAS
+        # GEMM formed a whole block's and a tile's terminal (mean | var) of
+        # an AffineAbs vol at rho = 0 with different kernels, which the
+        # per-row sums replaced. H = 1/2 runs on the grid itself (m = 16 and
+        # 125), where OpenBLAS rounds GEMMs of up to 75 rows differently (see
+        # _TILE), so its small tiles have 128 rows, the fewest the default
+        # tile cuts
         law, grid = uniform_law(-0.5, 0.5), TimeGrid.uniform(16)
         tails, small = (RescalingScheme(kind, b=0.75)
                         for kind in (SchemeKind.TAILS, SchemeKind.SMALL_TIME))
+        affine = affine_abs_vol(0.1, 1.0, b=0.75)
 
         def run(H):
-            params = ModelParams(lam=0.2, rho=rho, hurst=HurstParams(H), vol=linear_vol(b=0.75))
-            ladders = [tail_ladder(params, law, scheme, [0.7, 0.5], g, n_paths, 9, 0.05)
-                       for scheme, g in ((tails, grid), (small, grid),
-                                         (tails, TimeGrid.uniform(125)))]
+            params, other = (ModelParams(lam=0.2, rho=rho, hurst=HurstParams(H), vol=vol)
+                             for vol in (linear_vol(b=0.75), affine))
+            ladders = [tail_ladder(p, law, scheme, [0.7, 0.5], g, n_paths, 9, 0.05)
+                       for p, scheme, g in ((params, tails, grid), (params, small, grid),
+                                            (params, tails, TimeGrid.uniform(125)),
+                                            (other, tails, TimeGrid.uniform(125)))]
             x, y = simulate(params, law, small, 0.5, grid, n_paths, seed=9)
             return [[(e.p_hat, e.std_err) for e in ests] for ests, _ in ladders], \
                 [cov for _, cov in ladders], x.values, y.values
@@ -626,17 +699,16 @@ class TestRoughSimulationLayout:
 
     @pytest.mark.parametrize("H", [0.1, 0.3, 0.7])
     def test_rho_zero_law_matches_pathwise_euler(self, H):
-        # rho = 1e-12 runs the pathwise Euler branch; its X_1 law differs from
-        # rho = 0 by O(1e-12), so mean, variance and a tail probability must
-        # agree within 5 combined standard errors
+        # simulate's X_1, drawn per panel from its conditional law, against a
+        # fine-step Euler X_1 built here (_euler_reference): mean, variance
+        # and a tail probability must agree within 5 combined standard errors
         n, level = 200_000, 0.3
-        x1 = {}
-        for rho, seed in ((0.0, 21), (1e-12, 22)):
-            params = ModelParams(beta=-1.0, xi=1.0, rho=rho, hurst=HurstParams(H),
-                                 vol=linear_vol(b=0.75))
-            xb, _ = simulate(params, point_law(0.2), RescalingScheme(SchemeKind.TAILS, b=0.75),
-                             0.5, TimeGrid.uniform(16), n, seed=seed)
-            x1[rho] = xb.values[:, -1]
+        params = ModelParams(beta=-1.0, xi=1.0, rho=0.0, hurst=HurstParams(H),
+                             vol=linear_vol(b=0.75))
+        args = (params, point_law(0.2), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
+                TimeGrid.uniform(16), n)
+        x1 = {"simulate": simulate(*args, seed=21)[0].values[:, -1],
+              "euler": _euler_reference(*args, seed=22)}
 
         def moments(x):
             d = x - x.mean()
@@ -645,39 +717,58 @@ class TestRoughSimulationLayout:
             # squared standard errors of the mean, the variance and p
             return (x.mean(), v, p), (v / n, (np.mean(d**4) - v * v) / n, p * (1 - p) / n)
 
-        (a, se_a), (b, se_b) = moments(x1[0.0]), moments(x1[1e-12])
+        (a, se_a), (b, se_b) = moments(x1["simulate"]), moments(x1["euler"])
         for u, w, su, sw in zip(a, b, se_a, se_b):
             assert abs(u - w) <= 5.0 * math.sqrt(su + sw)
 
 
 class TestTailEstimate:
-    """tail_estimate reduces each block of the simulation to its count of
-    X_T >= level (rho != 0) or to the sums of P(X_T >= level | vol path) and
-    of their squared deviations (rho = 0), at every H."""
+    """tail_estimate reduces each block of the simulation to the sums of
+    P(X_T >= level | Y's drivers) and of their squared deviations, at every
+    H and rho."""
 
     def _args(self, rho, n_paths=2 * model._ROW_BLOCK + 37, H=0.3, n=16):
         params = ModelParams(hurst=HurstParams(H), vol=linear_vol(b=0.75), rho=rho)
         return (params, uniform_law(-0.5, 0.5), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.5,
                 TimeGrid.uniform(n), n_paths)
 
-    def test_rho_nonzero_count_equals_simulate(self):
-        # rho != 0 draws and computes as simulate does, so the counts agree
-        # exactly: a Tails estimate counts simulate's X_T at eps = 1 against
-        # level eps^{-2b} (X^eps = eps^{2b} X^1 on the same draws), a
-        # SmallTime one simulate's X_T at its own eps against the level. At
-        # H = 1/2 each SmallTime eps has its own beta_eff, so its own factor
-        for H in (0.3, 0.5):
-            params, law, scheme, eps, grid, n_paths = self._args(rho=-0.4, H=H)
-            x1 = simulate(params, law, scheme, 1.0, grid, n_paths, seed=4)[0].values[:, -1]
-            for level in np.quantile(eps ** (2 * scheme.b) * x1, [0.1, 0.5, 0.9]):
-                est = tail_estimate(params, law, scheme, eps, grid, n_paths, seed=4, level=level)
-                assert est.p_hat == \
-                    np.count_nonzero(x1 >= level * eps ** (-2.0 * scheme.b)) / n_paths
-            small = RescalingScheme(SchemeKind.SMALL_TIME, b=0.75)
-            x = simulate(params, law, small, eps, grid, n_paths, seed=4)[0].values[:, -1]
-            for level in np.quantile(x, [0.1, 0.5, 0.9]):
-                est = tail_estimate(params, law, small, eps, grid, n_paths, seed=4, level=level)
-                assert est.p_hat == np.count_nonzero(x >= level) / n_paths
+    def test_rho_nonzero_terminal_draw(self):
+        # at rho != 0 a block draws Z of shape (rows, 2m): zeta, B's
+        # normals, then the rest of Y's. Y is rebuilt from them, then each
+        # path's X_T ~ N(mean, var) given Z, with
+        # mean = sum drift_k s_k^2 + rho dw_k s_k zeta_k and
+        # var = rho_bar^2 sum dw_k^2 s_k^2 over all m steps; p_hat is the mean
+        # of ndtr((mean - level) / sqrt(var)) and must agree to 1e-14 at nine
+        # levels. At H = 1/2 the steps are the grid's and the SmallTime
+        # point's factor is the OU integral's at its own beta_eff
+        def sigma(y):
+            return 0.3 + np.sin(3.0 * y) ** 2
+
+        b, eps, rows, y0, rho = 0.75, 0.5, 300, 0.1, -0.4
+        vol = model.VolFunction(kind="Tabulated", b=b, sigma_fn=sigma, sigma_tilde_fn=sigma)
+        grid = TimeGrid.uniform(16)
+        for H, kind in ((0.3, SchemeKind.TAILS), (0.5, SchemeKind.SMALL_TIME)):
+            params = ModelParams(beta=-1.3, xi=0.8, rho=rho, hurst=HurstParams(H), vol=vol)
+            scheme = RescalingScheme(kind, b=b)
+            beta_eff, start_scale, _, noise_scale, drift_coef, xnoise_coef = \
+                model._scheme_coefficients(params, scheme, eps)
+            t_fine = grid.t if H == 0.5 else np.linspace(0.0, 1.0, model._N_FINE + 1)[1:]
+            m = t_fine.size
+            # a Point law draws nothing, so block 0 reads child stream 0 of the seed
+            Z = make_rng(6).spawn(1)[0].standard_normal((rows, 2 * m))
+            LW = model._joint_bm_fbm_cholesky(H, t_fine, rho, beta_eff if H == 0.5 else 0.0)[m:]
+            F = np.eye(m) if H == 0.5 else _by_parts_matrix(t_fine, beta_eff)
+            noise = Z @ (noise_scale * F @ LW).T
+            y_left = start_scale * y0 * np.exp(beta_eff * np.concatenate([[0.0], t_fine[:-1]]))
+            y_left = y_left + np.hstack([np.zeros((rows, 1)), noise[:, :-1]])
+            sv = eps**b * sigma(y_left / eps**b)
+            dtf = np.diff(t_fine, prepend=0.0)
+            mean = drift_coef * sv**2 @ dtf + rho * xnoise_coef * (sv * Z[:, :m]) @ np.sqrt(dtf)
+            var = (1.0 - rho * rho) * xnoise_coef**2 * sv**2 @ dtf
+            for level in np.quantile(mean + np.sqrt(var), np.linspace(0.1, 0.9, 9)):
+                est = tail_estimate(params, point_law(y0), scheme, eps, grid, rows, 6, level)
+                ref = np.mean(ndtr((mean - level) / np.sqrt(var)))
+                assert abs(est.p_hat - ref) <= 1e-14 * ref
 
     def test_rho_zero_terminal_draw(self):
         # at rho = 0 a block draws Z of shape (rows, m), the W^H normals only.
@@ -726,6 +817,38 @@ class TestTailEstimate:
         ref = tail_probability(simulate(*args, seed=32)[0], level, 1.0)
         assert 0.01 < ref.p_hat < 0.99
         assert abs(est.p_hat - ref.p_hat) <= 5.0 * math.sqrt(est.std_err**2 + ref.std_err**2)
+
+    @pytest.mark.parametrize("H, kind, vol, rho", [
+        (0.1, SchemeKind.TAILS, "Linear", -0.7),
+        (0.1, SchemeKind.SMALL_TIME, "AffineAbs", 0.4),
+        (0.3, SchemeKind.TAILS, "Tabulated", -0.4),
+        (0.3, SchemeKind.SMALL_TIME, "Linear", -0.7),
+        (0.5, SchemeKind.TAILS, "AffineAbs", -0.4),
+        (0.5, SchemeKind.SMALL_TIME, "Tabulated", 0.4),
+        (0.7, SchemeKind.TAILS, "Linear", 0.4),
+        (0.7, SchemeKind.SMALL_TIME, "AffineAbs", -0.7),
+    ])
+    def test_rho_nonzero_law_matches_euler(self, H, kind, vol, rho):
+        # the conditional estimator at rho != 0 against hits of X_T that
+        # _euler_reference steps from its own (Wbar, Y) factor, on
+        # independent seeds: each p_hat within 3 combined SE, at the median
+        # and the 0.9 quantile of the reference X_T. Dropping the rho term of
+        # the conditional mean, or the rho_bar^2 of its variance, moves
+        # these p_hats by many SE
+        vols = {"Linear": linear_vol(b=0.75), "AffineAbs": affine_abs_vol(0.1, 1.0, b=0.75),
+                "Tabulated": model.VolFunction(
+                    kind="Tabulated", b=0.75, sigma_fn=lambda y: 0.3 + np.sin(3.0 * y) ** 2,
+                    sigma_tilde_fn=lambda y: np.sin(3.0 * y) ** 2)}
+        params = ModelParams(lam=0.2, beta=-1.3, xi=0.8, rho=rho, hurst=HurstParams(H),
+                             vol=vols[vol])
+        args = (params, uniform_law(-0.5, 0.5), RescalingScheme(kind, b=0.75), 0.6,
+                TimeGrid.uniform(16))
+        n_ref = 100_000
+        x = _euler_reference(*args, n_ref, seed=41)
+        for level in np.quantile(x, [0.5, 0.9]):
+            p = np.count_nonzero(x >= level) / n_ref
+            est = tail_estimate(*args, 20_000, seed=42, level=level)
+            assert abs(est.p_hat - p) <= 3.0 * math.hypot(est.std_err, math.sqrt(p * (1 - p) / n_ref))
 
     @pytest.mark.parametrize("rho", [0.0, -0.4])
     @pytest.mark.parametrize("workers", [2, 3])
@@ -810,9 +933,9 @@ class TestTailEstimate:
     def test_std_err_is_honest(self):
         # the reported SE against the spread of p_hat over 40 seeds, at the
         # smallest eps of the configs/simulate_tails.json ladder, with H = 0.3
-        # and its own H = 1/2
-        for H in (0.3, 0.5):
-            params = ModelParams(rho=0.0, hurst=HurstParams(H), vol=linear_vol(b=0.75))
+        # and its own H = 1/2, at rho = 0 and -0.4
+        for H, rho in itertools.product((0.3, 0.5), (0.0, -0.4)):
+            params = ModelParams(rho=rho, hurst=HurstParams(H), vol=linear_vol(b=0.75))
             args = (params, point_law(0.1), RescalingScheme(SchemeKind.TAILS, b=0.75), 0.4,
                     TimeGrid.uniform(32), 10_000)
             ests = [tail_estimate(*args, seed=s, level=0.5) for s in range(40)]
@@ -871,11 +994,11 @@ class TestTailLadder:
             rng, theta, points = model._prepare(params, law, scheme, [eps], grid, n_paths, seed,
                                                 False)
             out = []
-            model._simulate_general(params, grid, n_paths, rng, theta, points, model._N_FINE,
+            model._simulate_general(params, grid, n_paths, rng, theta, points,
                                     lambda lo, hi, x, _: out.append((lo, x[0].copy())),
                                     terminal=True)
             x = np.concatenate([x for _, x in sorted(out, key=lambda o: o[0])])
-            q = (x >= level).astype(float) if rho else ndtr((x[:, 0] - level) / np.sqrt(x[:, 1]))
+            q = ndtr((x[:, 0] - level) / np.sqrt(x[:, 1]))
             p = q.mean()
             se = math.sqrt(np.sum((q - p) ** 2)) / n_paths
             assert 0.01 < p < 0.99
@@ -899,7 +1022,7 @@ class TestTailLadder:
         grid, rows, seed, eps = TimeGrid.uniform(16), 300, 6, 0.6
         rng, theta, points = model._prepare(params, law, scheme, [eps], grid, rows, seed, False)
         out = []
-        model._simulate_general(params, grid, rows, rng, theta, points, model._N_FINE,
+        model._simulate_general(params, grid, rows, rng, theta, points,
                                 lambda lo, hi, x, _: out.append(x[0].copy()), terminal=True)
         (moments,) = out
         beta_eff, start_scale, lam_term, noise_scale, drift_coef, xnoise_coef = \
