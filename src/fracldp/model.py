@@ -677,9 +677,10 @@ def _simulate_general(params, grid, n_paths, rng, theta, points, sink, terminal=
     w + workers, ... and writing every step into arrays it allocates once
     (numpy's RNG fill, BLAS and ufuncs release the GIL): Z, Y then s^2 (Z^2
     on the Linear route) and the GEMM product then s zeta of one tile, and
-    with `terminal` the block's (mean | var), whatever the ladder's length. Neither the
-    worker count nor the tile size changes the result. The sink, and a
-    Tabulated vol's user callables, run on worker threads, concurrently.
+    with `terminal` the block's (mean | var), whatever the ladder's length.
+    Neither the worker count nor the tile size changes the result. The
+    sink, and a Tabulated vol's user callables, run on worker threads,
+    concurrently.
     """
     H = params.hurst.H
     rho = params.rho

@@ -848,7 +848,8 @@ class TestTailEstimate:
         for level in np.quantile(x, [0.5, 0.9]):
             p = np.count_nonzero(x >= level) / n_ref
             est = tail_estimate(*args, 20_000, seed=42, level=level)
-            assert abs(est.p_hat - p) <= 3.0 * math.hypot(est.std_err, math.sqrt(p * (1 - p) / n_ref))
+            se = math.hypot(est.std_err, math.sqrt(p * (1 - p) / n_ref))
+            assert abs(est.p_hat - p) <= 3.0 * se
 
     @pytest.mark.parametrize("rho", [0.0, -0.4])
     @pytest.mark.parametrize("workers", [2, 3])
